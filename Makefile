@@ -85,9 +85,23 @@ check-rel-engines:
 
 # Stand a broker on a temp socket, pull 20 quotes through it, and
 # require each to be bit-identical to the in-process pricing — the
-# serving layer's end-to-end identity gate (see docs/SERVING.md).
+# serving layer's end-to-end identity gate (see docs/SERVING.md). Then
+# served vs one-shot: a QUOTE sent through `qpricing probe` to `qpricing
+# serve skewed --scale tiny` and `qpricing quote skewed` on the same SQL
+# must print byte-identical reply lines.
+SMOKE_SQL = SELECT count(*) FROM Country WHERE Continent = 'Europe'
 serve-smoke:
 	dune exec bin/qpricing.exe -- serve skewed --scale tiny --support 100 --smoke 20
+	dune build bin/qpricing.exe
+	@bin=_build/default/bin/qpricing.exe; \
+	sock=$$(mktemp -u /tmp/qpsmoke.XXXXXX); \
+	$$bin serve skewed --scale tiny --socket $$sock >/dev/null & pid=$$!; \
+	served=$$($$bin probe --socket $$sock --retries 500 "QUOTE $(SMOKE_SQL)" SHUTDOWN | sed -n 1p); \
+	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
+	oneshot=$$($$bin quote skewed "$(SMOKE_SQL)"); \
+	echo "served:   $$served"; echo "one-shot: $$oneshot"; \
+	case "$$served" in OK*) ;; *) echo "serve-smoke: served QUOTE failed"; exit 1;; esac; \
+	[ "$$served" = "$$oneshot" ] || { echo "serve-smoke: served and one-shot replies differ"; exit 1; }
 
 # Re-run the gated benchmarks (quick profile) and compare the pinned
 # metrics — simplex crossover, warm-start pivot savings, serve

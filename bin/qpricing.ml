@@ -7,6 +7,9 @@
      run         — one full benchmark cell (build + every algorithm)
      experiment  — regenerate one or more of the paper's tables/figures
      report      — aggregate a --trace file into a self/total-time table
+     quote       — price one SQL query: a one-shot of serve's QUOTE reply
+     serve       — the standing pricing broker on a socket (docs/SERVING.md)
+     probe       — send raw request lines to a running broker
      demo        — a small end-to-end broker session on the world dataset
 
    inspect, price, run and experiment accept --trace FILE, which records
@@ -23,7 +26,6 @@ module H = Qp_core.Hypergraph
 module P = Qp_core.Pricing
 module V = Qp_workloads.Valuations
 module Rng = Qp_util.Rng
-module Broker = Qp_market.Broker
 
 (* --- shared arguments ------------------------------------------------ *)
 
@@ -158,26 +160,35 @@ let with_trace file f =
             (Qp_obs.span_count ()) path)
         f
 
+(* Serving defaults, shared by serve and the one-shot quote. *)
+let default_model = V.Uniform_val 100.0
+let default_pricing = "lpip"
+
 let model_arg =
   let parse s =
+    let num of_string x make =
+      match of_string x with
+      | Some v -> Ok (make v)
+      | None -> Error (`Msg "bad numeric parameter in MODEL")
+    in
     match String.split_on_char ':' (String.lowercase_ascii s) with
-    | [ "uniform"; k ] -> Ok (V.Uniform_val (float_of_string k))
-    | [ "zipf"; a ] -> Ok (V.Zipf_val (float_of_string a))
-    | [ "exp"; k ] -> Ok (V.Scaled_exp (float_of_string k))
-    | [ "normal"; k ] -> Ok (V.Scaled_normal (float_of_string k))
+    | [ "uniform"; k ] -> num float_of_string_opt k (fun k -> V.Uniform_val k)
+    | [ "zipf"; a ] -> num float_of_string_opt a (fun a -> V.Zipf_val a)
+    | [ "exp"; k ] -> num float_of_string_opt k (fun k -> V.Scaled_exp k)
+    | [ "normal"; k ] -> num float_of_string_opt k (fun k -> V.Scaled_normal k)
     | [ "additive"; k ] ->
-        Ok (V.Additive { k = int_of_string k; dtilde = V.D_uniform })
+        num int_of_string_opt k (fun k -> V.Additive { k; dtilde = V.D_uniform })
     | [ "additive-binomial"; k ] ->
-        Ok (V.Additive { k = int_of_string k; dtilde = V.D_binomial })
+        num int_of_string_opt k (fun k ->
+            V.Additive { k; dtilde = V.D_binomial })
     | _ ->
         Error
           (`Msg
              "expected MODEL like uniform:100, zipf:1.5, exp:0.5, normal:1, \
               additive:100 or additive-binomial:100")
-    | exception _ -> Error (`Msg "bad numeric parameter in MODEL")
   in
   let print fmt m = Format.pp_print_string fmt (V.describe m) in
-  Arg.(value & opt (conv (parse, print)) (V.Uniform_val 100.0)
+  Arg.(value & opt (conv (parse, print)) default_model
        & info [ "model" ] ~docv:"MODEL" ~doc:"Valuation model (see qpricing list).")
 
 let build_instance workload scale support seed =
@@ -390,9 +401,11 @@ let report_cmd =
           per-label regressions.")
     Term.(const run $ trace_file_arg $ diff_arg $ threshold_arg)
 
-(* --- quote: price raw SQL against a broker -------------------------- *)
+(* --- quote: one-shot of the served QUOTE path ------------------------ *)
 
 let quote_cmd =
+  let module SB = Qp_serve.Broker in
+  let module SP = Qp_serve.Protocol in
   let sql_arg =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"SQL" ~doc:"Query to price (the workload dialect).")
@@ -400,55 +413,22 @@ let quote_cmd =
   let run workload seed lp_engine rel_engine sql =
     set_lp_engine lp_engine;
     set_rel_engine rel_engine;
-    let rng = Rng.create seed in
-    let db =
-      match workload with
-      | "skewed" | "uniform" ->
-          Qp_workloads.World.generate ~rng:(Rng.split rng "db")
-            ~config:Qp_workloads.World.tiny_config ()
-      | "tpch" ->
-          Qp_workloads.Tpch.generate ~rng:(Rng.split rng "db")
-            ~config:Qp_workloads.Tpch.tiny_config ()
-      | "ssb" ->
-          Qp_workloads.Ssb.generate ~rng:(Rng.split rng "db")
-            ~config:Qp_workloads.Ssb.tiny_config ()
-      | _ -> assert false
+    let broker =
+      SB.create ~scale:WI.Tiny ~workload ~model:default_model
+        ~pricing:default_pricing ~seed ()
     in
-    match Qp_relational.Sql.parse ~db sql with
+    match SB.quote_sql broker sql with
+    | Ok q -> print_endline (SP.print_response (SP.Quote_reply q))
     | Error msg ->
-        Printf.eprintf "parse error: %s
-" msg;
+        prerr_endline (SP.print_response (SP.Error_reply (SP.Sql, msg)));
         exit 2
-    | Ok query ->
-        Printf.printf "parsed: %s
-" (Qp_relational.Query.to_sql query);
-        let broker = Broker.create ~seed ~support_size:200 db in
-        let buyers =
-          match workload with
-          | "skewed" | "uniform" -> Qp_workloads.World_queries.base_templates db
-          | "tpch" ->
-              List.filteri (fun i _ -> i mod 5 = 0) (Qp_workloads.Tpch_queries.workload ())
-          | _ ->
-              List.filteri (fun i _ -> i mod 20 = 0) (Qp_workloads.Ssb_queries.workload ())
-        in
-        List.iteri
-          (fun i q -> Broker.add_buyer broker ~valuation:(10.0 +. Float.of_int i) q)
-          buyers;
-        Printf.printf "building the market (%d registered buyers)...
-%!"
-          (List.length buyers);
-        Broker.build broker;
-        let _ = Broker.price broker ~algorithm:"lpip" in
-        let price = Broker.quote broker query in
-        let answer = Qp_relational.Eval.run db query in
-        Printf.printf "quote: %.2f (answer has %d rows)
-" price
-          (Qp_relational.Result_set.row_count answer)
   in
   Cmd.v
     (Cmd.info "quote"
        ~doc:
-         "Parse a SQL query, build a broker over the named workload's tiny           dataset, and quote the query's arbitrage-free price.")
+         "Quote one SQL query's arbitrage-free price: the reply line a \
+          $(b,QUOTE) request gets from $(b,qpricing serve) over the \
+          workload's tiny instance with the serving defaults.")
     Term.(const run $ workload_arg $ seed_arg $ lp_engine_arg $ rel_engine_arg
           $ sql_arg)
 
@@ -460,7 +440,7 @@ let serve_cmd =
   let module SP = Qp_serve.Protocol in
   let pricing_arg =
     let keys = List.map (fun k -> (k, k)) SB.pricing_keys in
-    Arg.(value & opt (enum keys) "lpip"
+    Arg.(value & opt (enum keys) default_pricing
          & info [ "pricing" ]
              ~doc:
                "Pricing family to precompute and serve: ubp, uip, lpip, cip, \
@@ -893,18 +873,18 @@ let experiment_cmd =
 
 let demo_cmd =
   let run seed =
+    let module SB = Qp_serve.Broker in
     let module World = Qp_workloads.World in
     let rng = Rng.create seed in
     let db = World.generate ~rng ~config:World.tiny_config () in
-    let broker = Broker.create ~seed ~support_size:150 db in
-    let queries = Qp_workloads.World_queries.base_templates db in
-    List.iteri
-      (fun i q -> Broker.add_buyer broker ~valuation:(10.0 +. Float.of_int i) q)
-      queries;
-    Broker.build broker;
-    let _ = Broker.price broker ~algorithm:"lpip" in
+    let buyers =
+      List.mapi
+        (fun i q -> (q, 10.0 +. Float.of_int i))
+        (Qp_workloads.World_queries.base_templates db)
+    in
+    let broker = SB.of_buyers ~pricing:"lpip" ~seed ~support:150 db buyers in
     Printf.printf "expected revenue from the registered workload: %.2f\n"
-      (Broker.expected_revenue broker);
+      (P.revenue (SB.pricing broker) (SB.hypergraph broker));
     let fresh =
       Qp_relational.Query.make ~name:"fresh"
         ~from:[ "Country" ]
@@ -914,13 +894,14 @@ let demo_cmd =
     in
     Printf.printf "quote for a fresh query %S: %.2f\n"
       (Qp_relational.Query.to_sql fresh)
-      (Broker.quote broker fresh);
-    (match Broker.purchase broker ~budget:1000.0 fresh with
+      (SB.quote broker fresh).Qp_serve.Protocol.price;
+    let account = SB.Account.create () in
+    (match SB.purchase ~account broker ~budget:1000.0 fresh with
     | `Sold (price, answer) ->
         Printf.printf "purchased for %.2f; answer has %d row(s)\n" price
           (Qp_relational.Result_set.row_count answer)
     | `Declined price -> Printf.printf "declined at %.2f\n" price);
-    Printf.printf "revenue collected: %.2f\n" (Broker.revenue_collected broker)
+    Printf.printf "revenue collected: %.2f\n" (SB.Account.spent account)
   in
   Cmd.v
     (Cmd.info "demo" ~doc:"A small end-to-end broker session (world dataset).")

@@ -9,7 +9,7 @@
 
    Run with: dune exec examples/data_market.exe *)
 
-module Broker = Qp_market.Broker
+module Broker = Qp_serve.Broker
 module World = Qp_workloads.World
 module Query = Qp_relational.Query
 module Expr = Qp_relational.Expr
@@ -61,16 +61,19 @@ let buyers db =
 let () =
   let rng = Rng.create 11 in
   let db = World.generate ~rng ~config:World.tiny_config () in
-  let broker = Broker.create ~seed:11 ~support_size:200 db in
-  List.iter (fun (q, v) -> Broker.add_buyer broker ~valuation:v q) (buyers db);
-  Broker.build broker;
-  let h = Broker.hypergraph broker in
+  let broker_at pricing =
+    Broker.of_buyers ~pricing ~seed:11 ~support:200 db (buyers db)
+  in
+  (* Every broker stands on the same hypergraph; UBP is the cheapest
+     family to solve on the way to it. *)
+  let h = Broker.hypergraph (broker_at "ubp") in
   Printf.printf "market: %d buyers, support %d, total valuations %.1f\n\n"
     (Qp_core.Hypergraph.m h)
     (Qp_core.Hypergraph.n_items h)
     (Qp_core.Hypergraph.sum_valuations h);
 
-  (* Compare every algorithm of §5 on this workload. *)
+  (* Compare every algorithm of §5 on this workload, with the options
+     the broker solves with. *)
   print_endline "algorithm comparison:";
   let best = ref ("", neg_infinity) in
   List.iter
@@ -79,20 +82,24 @@ let () =
       let revenue = Qp_core.Pricing.revenue pricing h in
       if revenue > snd !best then best := (spec.key, revenue);
       Printf.printf "  %-14s %8.2f\n" spec.label revenue)
-    (Qp_core.Algorithms.all ());
+    (Qp_experiments.Runner.algorithms Qp_experiments.Runner.Quick);
 
-  (* Install the winner and serve the buyers. *)
+  (* Stand the winner and serve the buyers. *)
   let winner, _ = !best in
-  let _ = Broker.price broker ~algorithm:winner in
+  let broker = broker_at winner in
   Printf.printf "\nserving buyers at the %s pricing:\n" winner;
-  List.iter
-    (fun (q, budget) ->
-      match Broker.purchase broker ~budget q with
-      | `Sold (price, _) ->
-          Printf.printf "  %-28s bought at %6.2f (budget %5.1f)\n"
-            q.Query.name price budget
-      | `Declined price ->
-          Printf.printf "  %-28s declined at %6.2f (budget %5.1f)\n"
-            q.Query.name price budget)
-    (buyers db);
-  Printf.printf "total collected: %.2f\n" (Broker.revenue_collected broker)
+  let collected =
+    List.fold_left
+      (fun collected (q, budget) ->
+        match Broker.purchase broker ~budget q with
+        | `Sold (price, _) ->
+            Printf.printf "  %-28s bought at %6.2f (budget %5.1f)\n"
+              q.Query.name price budget;
+            collected +. price
+        | `Declined price ->
+            Printf.printf "  %-28s declined at %6.2f (budget %5.1f)\n"
+              q.Query.name price budget;
+            collected)
+      0.0 (buyers db)
+  in
+  Printf.printf "total collected: %.2f\n" collected

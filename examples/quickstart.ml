@@ -8,7 +8,7 @@
    Run with: dune exec examples/quickstart.exe *)
 
 module Relational = Qp_relational
-module Broker = Qp_market.Broker
+module Broker = Qp_serve.Broker
 module Query = Relational.Query
 module Expr = Relational.Expr
 module Value = Relational.Value
@@ -36,10 +36,7 @@ let q name select ?where () =
   Query.make ~name ?where ~from:[ "Users" ] select
 
 let () =
-  (* 1. The broker samples the support set at creation. *)
-  let broker = Broker.create ~seed:7 ~support_size:64 users_db in
-
-  (* 2. Register the buyers: each wants one query at a known valuation. *)
+  (* 1. The buyers: each wants one query at a known valuation. *)
   let count_female =
     q "count-female"
       [ Query.Aggregate (Query.Count_star, "cnt") ]
@@ -57,28 +54,31 @@ let () =
   in
   let everything = Query.make ~name:"all" ~from:[ "Users" ]
       (Query.star users_db (q "tmp" [ Query.Field (Expr.int 1, "x") ] ())) in
-  Broker.add_buyer broker ~valuation:10.0 count_female;
-  Broker.add_buyer broker ~valuation:12.0 by_gender;
-  Broker.add_buyer broker ~valuation:20.0 avg_age;
-  Broker.add_buyer broker ~valuation:100.0 everything;
 
-  (* 3. Build conflict sets and price with the LP item-pricing
-        algorithm (the paper's consistent winner). *)
-  Broker.build broker;
-  let pricing = Broker.price broker ~algorithm:"lpip" in
+  (* 2. The broker samples the support set, builds every conflict set
+        and prices with the LP item-pricing algorithm (the paper's
+        consistent winner). *)
+  let broker =
+    Broker.of_buyers ~pricing:"lpip" ~seed:7 ~support:64 users_db
+      [ (count_female, 10.0); (by_gender, 12.0); (avg_age, 20.0);
+        (everything, 100.0) ]
+  in
+  let pricing = Broker.pricing broker in
+  let h = Broker.hypergraph broker in
   Printf.printf "pricing: %s\n" (Qp_core.Pricing.describe pricing);
   Printf.printf "expected revenue: %.2f (out of %.2f total valuations)\n"
-    (Broker.expected_revenue broker)
-    (Qp_core.Hypergraph.sum_valuations (Broker.hypergraph broker));
+    (Qp_core.Pricing.revenue pricing h)
+    (Qp_core.Hypergraph.sum_valuations h);
 
-  (* 4. Arbitrage-freeness in action: the group-by answer determines the
+  (* 3. Arbitrage-freeness in action: the group-by answer determines the
         count-female answer, so its price can never be lower. *)
-  let p1 = Broker.quote broker count_female in
-  let p2 = Broker.quote broker by_gender in
+  let price query = (Broker.quote broker query).Qp_serve.Protocol.price in
+  let p1 = price count_female in
+  let p2 = price by_gender in
   Printf.printf "price(count-female) = %.2f <= price(by-gender) = %.2f : %b\n"
     p1 p2 (p1 <= p2 +. 1e-9);
 
-  (* 5. Serve a purchase. *)
+  (* 4. Serve a purchase. *)
   match Broker.purchase broker ~budget:15.0 count_female with
   | `Sold (price, answer) ->
       Printf.printf "sold for %.2f; answer:\n%s" price

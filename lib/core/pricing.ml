@@ -23,6 +23,29 @@ let price_items p items =
 
 let price p (e : Hypergraph.edge) = price_items p e.items
 
+(* Merge of two sorted, duplicate-free item arrays. *)
+let union_sorted a b =
+  let na = Array.length a and nb = Array.length b in
+  let out = Array.make (na + nb) 0 in
+  let rec go i j k =
+    if i = na then (
+      Array.blit b j out k (nb - j);
+      k + nb - j)
+    else if j = nb then (
+      Array.blit a i out k (na - i);
+      k + na - i)
+    else
+      let c = Int.compare a.(i) b.(j) in
+      out.(k) <- (if c <= 0 then a.(i) else b.(j));
+      go (if c <= 0 then i + 1 else i) (if c >= 0 then j + 1 else j) (k + 1)
+  in
+  Array.sub out 0 (go 0 0 0)
+
+let marginal p ~history items =
+  let combined = union_sorted history items in
+  ( Float.max 0.0 (price_items p combined -. price_items p history),
+    combined )
+
 let tolerance = 1e-9
 
 let sells p (e : Hypergraph.edge) =

@@ -33,6 +33,15 @@ val price_items : t -> int array -> float
     were not part of the priced workload, and by the arbitrage
     checker. *)
 
+val marginal : t -> history:int array -> int array -> float * int array
+(** History-aware pricing (Upadhyaya et al., cited in §2): the charge
+    for a bundle on top of the items a buyer already paid for is the
+    marginal [max 0 (f(H ∪ items) - f(H))], returned with [H ∪ items].
+    Monotonicity makes it non-negative and subadditivity caps it by the
+    standalone price [f(items)], which it equals for an empty history
+    since [f(∅) = 0]. Both arrays must be sorted and duplicate-free, as
+    conflict sets are. *)
+
 val sells : t -> Hypergraph.edge -> bool
 (** [price <= valuation], with a 1e-9 relative tolerance so that
     LP-derived prices that are tight against a valuation still sell. *)

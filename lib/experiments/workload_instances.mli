@@ -30,6 +30,23 @@ type support_strategy = Uniform_support | Query_aware
     is the default: at reduced data scale it reproduces the paper's
     hyperedge-size distributions; the benches ablate the choice. *)
 
+val assemble :
+  ?strategy:support_strategy ->
+  key:string ->
+  label:string ->
+  db:Database.t ->
+  queries:Query.t list ->
+  support:int ->
+  seed:int ->
+  unit ->
+  t
+(** The shared tail of every builder: sample [support] neighbors of
+    [db] (rng stream ["support"] of [seed]; query-aware by default,
+    uniform when [queries] reference no cells) and compute every
+    query's conflict set, with placeholder valuations 1.0. Exported so
+    that brokers over a custom database build the same way as the
+    workload instances. *)
+
 val skewed :
   ?scale:scale -> ?strategy:support_strategy -> ?support:int -> seed:int ->
   unit -> t

@@ -1,10 +1,11 @@
-(* The standing broker: build the expensive state once (dataset,
-   support, conflict hypergraph, pricing function), then answer quote
-   requests from cached state. The identity contract with one-shot
+(* The broker: build the expensive state once (dataset, support,
+   conflict hypergraph, pricing function), then answer quotes and
+   purchases from cached state. The identity contract with one-shot
    `qpricing price` is structural: both paths call the same
    Workload_instances.build, the same Valuations.apply with the same
    Rng.create seed, and the same Runner.algorithms spec — so there is
-   nothing to drift. *)
+   nothing to drift. Brokers over a custom database go through the
+   same Workload_instances.assemble and solve_pricing. *)
 
 module WI = Qp_experiments.Workload_instances
 module Runner = Qp_experiments.Runner
@@ -12,6 +13,11 @@ module H = Qp_core.Hypergraph
 module P = Qp_core.Pricing
 module V = Qp_workloads.Valuations
 module Rng = Qp_util.Rng
+
+(* Durations and uptime read the monotonic clock, like the Server
+   loop: a wall-clock step must not corrupt STATS or METRICS. *)
+let now_ns () = Monotonic_clock.now ()
+let now_s () = Int64.to_float (now_ns ()) /. 1e9
 
 type t = {
   workload : string;
@@ -43,10 +49,15 @@ type t = {
   mutable lifecycle : Protocol.health_state;
   request_hist : Qp_obs.Hist.t;
   quote_hist : Qp_obs.Hist.t;
-  started_at : float;
+  started_at : float;  (* monotonic seconds, see now_s *)
 }
 
 let pricing_keys = Qp_core.Algorithms.keys @ [ "capped" ]
+
+let unknown_pricing key =
+  invalid_arg
+    (Printf.sprintf "Qp_serve.Broker: unknown pricing %S (known: %s)" key
+       (String.concat ", " pricing_keys))
 
 let solve_pricing ~profile key h =
   if key = "capped" then Qp_core.Capped.solve h
@@ -57,10 +68,7 @@ let solve_pricing ~profile key h =
         (Runner.algorithms profile)
     with
     | Some spec -> spec.solve h
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Qp_serve.Broker: unknown pricing %S (known: %s)" key
-             (String.concat ", " pricing_keys))
+    | None -> unknown_pricing key
 
 (* Fresh serving wrapper around precomputed state — shared by the
    compute path (of_instance) and the snapshot path (load_snapshot).
@@ -85,10 +93,12 @@ let make ~workload ~seed ~pricing_key ~instance ~hypergraph ~pricing =
     lifecycle = Protocol.Serving;
     request_hist = Qp_obs.Hist.create ();
     quote_hist = Qp_obs.Hist.create ();
-    started_at = Unix.gettimeofday ();
+    started_at = now_s ();
   }
 
-let of_instance ?(profile = Runner.Quick) ~model ~pricing ~seed instance =
+(* The precompute every constructor shares: valuations on the conflict
+   hypergraph, the membership-class cache forced, the pricing solved. *)
+let precompute ~profile ~pricing ~seed ~valuate instance =
   Qp_obs.with_span "serve.precompute"
     ~args:(fun () ->
       [
@@ -97,7 +107,7 @@ let of_instance ?(profile = Runner.Quick) ~model ~pricing ~seed instance =
         ("seed", Qp_obs.Int seed);
       ])
   @@ fun () ->
-  let hypergraph = V.apply ~rng:(Rng.create seed) model instance.WI.hypergraph in
+  let hypergraph = valuate instance.WI.hypergraph in
   (* Force the membership-class cache before the request loop starts:
      classes are computed lazily and every LP-based family needs them —
      a standing broker should pay this at load, not on request 1. *)
@@ -106,18 +116,38 @@ let of_instance ?(profile = Runner.Quick) ~model ~pricing ~seed instance =
   make ~workload:instance.WI.key ~seed ~pricing_key:pricing ~instance
     ~hypergraph ~pricing:p
 
-let create ?scale ?support ?profile ~workload ~model ~pricing ~seed () =
+let of_instance ?(profile = Runner.Quick) ~model ~pricing ~seed instance =
+  precompute ~profile ~pricing ~seed
+    ~valuate:(V.apply ~rng:(Rng.create seed) model)
+    instance
+
+let load ~pricing ~workload build =
   (* Validate the pricing key before paying for the instance build. *)
-  if not (List.mem pricing pricing_keys) then
-    invalid_arg
-      (Printf.sprintf "Qp_serve.Broker: unknown pricing %S (known: %s)" pricing
-         (String.concat ", " pricing_keys));
+  if not (List.mem pricing pricing_keys) then unknown_pricing pricing;
+  Qp_obs.with_span "serve.load"
+    ~args:(fun () -> [ ("workload", Qp_obs.Str workload) ])
+    build
+
+let create ?scale ?support ?profile ~workload ~model ~pricing ~seed () =
   let instance =
-    Qp_obs.with_span "serve.load"
-      ~args:(fun () -> [ ("workload", Qp_obs.Str workload) ])
-      (fun () -> WI.build workload ?scale ?support ~seed ())
+    load ~pricing ~workload (fun () ->
+        WI.build workload ?scale ?support ~seed ())
   in
   of_instance ?profile ~model ~pricing ~seed instance
+
+(* Negative valuations are rejected by Hypergraph.with_valuations. *)
+let of_buyers ?(profile = Runner.Quick) ~pricing ~seed ~support db buyers =
+  let queries = List.map fst buyers in
+  let instance =
+    load ~pricing ~workload:"custom" (fun () ->
+        WI.assemble ~key:"custom"
+          ~label:(Printf.sprintf "%d buyer queries" (List.length queries))
+          ~db ~queries ~support ~seed ())
+  in
+  let valuations = Array.of_list (List.map snd buyers) in
+  precompute ~profile ~pricing ~seed
+    ~valuate:(fun h -> H.with_valuations h valuations)
+    instance
 
 (* --- snapshots -------------------------------------------------------- *)
 
@@ -202,25 +232,47 @@ let quote_index t i =
     sold = Some (P.sells t.pricing e);
   }
 
+let hypergraph t = t.hypergraph
+
+(* The only per-request relational work: one conflict set against the
+   standing support. The pricing itself is a cached set function —
+   arbitrage-freeness extends to fresh queries because the price is
+   still f(CS(Q, D)) for the same monotone subadditive f. *)
+let conflict_set t query =
+  Qp_market.Conflict.conflict_set t.instance.WI.db query t.instance.WI.deltas
+
+let quote t query =
+  let cs = conflict_set t query in
+  { Protocol.price = P.price_items t.pricing cs; size = Array.length cs;
+    sold = None }
+
 let quote_sql t sql =
-  match Qp_relational.Sql.parse ~db:t.instance.WI.db sql with
-  | Error msg -> Error msg
-  | Ok query ->
-      (* The only per-request relational work: one conflict set against
-         the standing support. The pricing itself is a cached set
-         function — arbitrage-freeness extends to fresh queries because
-         the price is still f(CS(Q, D)) for the same monotone
-         subadditive f. *)
-      let cs =
-        Qp_market.Conflict.conflict_set t.instance.WI.db query
-          t.instance.WI.deltas
-      in
-      Ok
-        {
-          Protocol.price = P.price_items t.pricing cs;
-          size = Array.length cs;
-          sold = None;
-        }
+  Result.map (quote t) (Qp_relational.Sql.parse ~db:t.instance.WI.db sql)
+
+module Account = struct
+  type t = { mutable history : int array; mutable spent : float }
+
+  let create () = { history = [||]; spent = 0.0 }
+  let history a = Array.copy a.history
+  let spent a = a.spent
+end
+
+let purchase ?account t ~budget query =
+  let history =
+    match account with Some a -> a.Account.history | None -> [||]
+  in
+  let charge, bought =
+    P.marginal t.pricing ~history (conflict_set t query)
+  in
+  if charge <= budget then begin
+    Option.iter
+      (fun (a : Account.t) ->
+        a.history <- bought;
+        a.spent <- a.spent +. charge)
+      account;
+    `Sold (charge, Qp_relational.Eval.run t.instance.WI.db query)
+  end
+  else `Declined charge
 
 let note_connection t =
   t.connections <- t.connections + 1;
@@ -319,7 +371,7 @@ let metrics_text t =
         {
           name = "qp_serve_uptime_seconds";
           help = "Seconds since the broker finished precompute";
-          value = Unix.gettimeofday () -. t.started_at;
+          value = now_s () -. t.started_at;
         };
       Metrics.Histogram
         {
@@ -503,9 +555,9 @@ let dispatch ~overloaded t line =
    last so a METRICS snapshot taken *during* a request (i.e. its own)
    never shows count and histogram out of step. *)
 let handle ?(overloaded = false) t line =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_ns () in
   let resp = dispatch ~overloaded t line in
-  let dt_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+  let dt_ns = Int64.to_int (Int64.sub (now_ns ()) t0) in
   Qp_obs.Hist.record t.request_hist dt_ns;
   (match resp with
   | Protocol.Quote_reply _ -> Qp_obs.Hist.record t.quote_hist dt_ns

@@ -1,13 +1,16 @@
-(** The standing pricing broker behind [qpricing serve]: load a
-    workload's data and support set once, precompute the conflict
-    hypergraph and one pricing function, then answer any number of
-    quote requests against that cached state.
+(** The pricing broker: load a database and support set once,
+    precompute the conflict hypergraph and one pricing function, then
+    price any query [Q] as [f(CS(Q, D))] against that cached state —
+    the Qirana-like broker of the paper's §3. It backs [qpricing
+    serve], [qpricing quote] (a one-shot of the served [QUOTE] path)
+    and [qpricing demo].
 
-    This is the serving-layer counterpart of {!Qp_market.Broker}: where
-    that module walks a market session step by step, this one freezes a
-    fully-priced instance (the expensive part — see
-    [docs/ARCHITECTURE.md], "Where the time goes") and exposes a
-    request dispatcher {!handle} for the {!Server} loop. What is
+    Lifecycle: {!create} (a named workload) or {!of_buyers} (a custom
+    database and buyer list) builds and prices the instance; {!quote},
+    {!quote_sql} and {!purchase} serve queries, including fresh ones
+    that were never part of the priced workload; {!handle} dispatches
+    protocol lines for the {!Server} loop. Precompute is the expensive
+    part (see [docs/ARCHITECTURE.md], "Where the time goes"); what is
     standing vs recomputed per request is spelled out in
     [docs/SERVING.md] ("Caching semantics").
 
@@ -27,8 +30,9 @@ val pricing_keys : string list
 
 type t
 (** A standing broker. The cached instance, hypergraph and pricing are
-    immutable after {!create}; only request counters mutate, and only
-    from the serving domain. *)
+    immutable after construction; only request counters mutate, and
+    only from the serving domain. Purchase histories live in
+    caller-owned {!Account.t} values, never in the broker. *)
 
 val create :
   ?scale:Qp_experiments.Workload_instances.scale ->
@@ -57,6 +61,22 @@ val of_instance :
   t
 (** {!create} over an instance that is already built — the bench and
     tests reuse {!Qp_experiments.Context}'s cached instances. *)
+
+val of_buyers :
+  ?profile:Qp_experiments.Runner.profile ->
+  pricing:string ->
+  seed:int ->
+  support:int ->
+  Qp_relational.Database.t ->
+  (Qp_relational.Query.t * float) list ->
+  t
+(** A broker over a custom database: sample [support] neighbors
+    (query-aware, steered toward the buyers' queries), compute every
+    buyer query's conflict set, install the given valuations and solve
+    [pricing] — the same {!Qp_experiments.Workload_instances.assemble}
+    and solver as {!create}. Its {!workload} is ["custom"]. Raises
+    [Invalid_argument] on a negative valuation or a [pricing] key
+    outside {!pricing_keys}. *)
 
 val save_snapshot :
   file:string -> config:Snapshot.config -> t -> (unit, string) result
@@ -98,6 +118,10 @@ val queries : t -> int
 val items : t -> int
 (** Support-set size (ground-set items). *)
 
+val hypergraph : t -> Qp_core.Hypergraph.t
+(** The standing conflict hypergraph, with the buyers' valuations
+    applied — what the pricing was solved on. *)
+
 val quote_index : t -> int -> Protocol.quote
 (** Price standing workload query [i] with the cached pricing: price,
     conflict-set size, and whether it sells to its registered buyer.
@@ -105,11 +129,47 @@ val quote_index : t -> int -> Protocol.quote
     sites) — the oracle the smoke check compares served replies
     against. Raises [Invalid_argument] outside [0, queries). *)
 
+val quote : t -> Qp_relational.Query.t -> Protocol.quote
+(** Price any query: compute its conflict set against the standing
+    support (the only per-request relational work) and price it with
+    the cached pricing. Arbitrage-freeness extends to queries outside
+    the workload because the price is still [f(CS(Q, D))] for the same
+    monotone subadditive [f]. [sold] is [None]: a fresh query has no
+    registered buyer. *)
+
 val quote_sql : t -> string -> (Protocol.quote, string) result
-(** Parse raw SQL in the workload dialect, compute its conflict set
-    against the standing support (the only per-request relational
-    work), and price it with the cached pricing. [Error] carries the
+(** {!quote} of raw SQL in the workload dialect. [Error] carries the
     SQL parser's message. *)
+
+(** Purchase histories for history-aware pricing. *)
+module Account : sig
+  type t
+  (** One buyer's purchases: the support items already paid for and
+      the total spent. *)
+
+  val create : unit -> t
+  (** A fresh account: empty history, nothing spent. *)
+
+  val history : t -> int array
+  (** Sorted support items the account has paid for. *)
+
+  val spent : t -> float
+  (** Total the account has paid across its purchases. *)
+end
+
+val purchase :
+  ?account:Account.t ->
+  t ->
+  budget:float ->
+  Qp_relational.Query.t ->
+  [ `Sold of float * Qp_relational.Result_set.t | `Declined of float ]
+(** Charge the query's price; if [budget] covers it, return the answer
+    with the charge, otherwise decline at that charge. With an
+    [account] the charge is the marginal price over its history
+    ({!Qp_core.Pricing.marginal}, Upadhyaya et al.'s refund folded into
+    the charge), and a sale absorbs the query's conflict set into the
+    history. Without one the history is empty and the charge is the
+    standalone {!quote} price, since [f(∅) = 0]. *)
 
 val handle : ?overloaded:bool -> t -> string -> Protocol.response
 (** Dispatch one raw request line: consult the ["serve.parse"] fault

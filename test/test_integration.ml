@@ -109,12 +109,12 @@ let test_information_arbitrage_on_world () =
   let db =
     Qp_workloads.World.generate ~rng ~config:Qp_workloads.World.tiny_config ()
   in
-  let broker = Qp_market.Broker.create ~seed:44 ~support_size:120 db in
-  List.iter
-    (fun q -> Qp_market.Broker.add_buyer broker ~valuation:25.0 q)
-    (Qp_workloads.World_queries.base_templates db);
-  Qp_market.Broker.build broker;
-  let _ = Qp_market.Broker.price broker ~algorithm:"lpip" in
+  let broker =
+    Qp_serve.Broker.of_buyers ~pricing:"lpip" ~seed:44 ~support:120 db
+      (List.map (fun q -> (q, 25.0))
+         (Qp_workloads.World_queries.base_templates db))
+  in
+  let quote q = (Qp_serve.Broker.quote broker q).Qp_serve.Protocol.price in
   let c = R.Expr.col and s = R.Expr.str in
   (* count of European countries is determined by the continent group-by *)
   let count_europe =
@@ -128,8 +128,8 @@ let test_information_arbitrage_on_world () =
       [ R.Query.Field (c "Continent", "c");
         R.Query.Aggregate (R.Query.Count (c "Name"), "cnt") ]
   in
-  let p1 = Qp_market.Broker.quote broker count_europe in
-  let p2 = Qp_market.Broker.quote broker by_continent in
+  let p1 = quote count_europe in
+  let p2 = quote by_continent in
   Alcotest.(check bool) "determined query is cheaper" true (p1 <= p2 +. 1e-9)
 
 let suite =

@@ -3,7 +3,7 @@
 open Fixtures
 module Support = Qp_market.Support
 module Conflict = Qp_market.Conflict
-module Broker = Qp_market.Broker
+module Broker = Qp_serve.Broker
 module Delta = Qp_relational.Delta
 module Eval = Qp_relational.Eval
 module Result_set = Qp_relational.Result_set
@@ -129,74 +129,63 @@ let test_conflict_progress_callback () =
 (* --- broker --- *)
 
 let test_broker_lifecycle () =
-  let broker = Broker.create ~seed:1 ~support_size:40 db in
-  Alcotest.(check int) "support" 40 (Array.length (Broker.support broker));
-  List.iter (fun q -> Broker.add_buyer broker ~valuation:10.0 q) workload_queries;
-  Alcotest.(check int) "buyers" 2 (List.length (Broker.buyers broker));
-  Broker.build broker;
+  let buyers = List.map (fun q -> (q, 10.0)) workload_queries in
+  let broker = Broker.of_buyers ~pricing:"ubp" ~seed:1 ~support:40 db buyers in
+  Alcotest.(check int) "support" 40 (Broker.items broker);
+  Alcotest.(check int) "buyers" 2 (Broker.queries broker);
   let h = Broker.hypergraph broker in
   Alcotest.(check int) "m" 2 (H.m h);
-  let _ = Broker.price broker ~algorithm:"ubp" in
+  let revenue = Qp_core.Pricing.revenue (Broker.pricing broker) h in
   Alcotest.(check bool) "expected revenue sane" true
-    (Broker.expected_revenue broker >= 0.0
-    && Broker.expected_revenue broker <= 20.0 +. 1e-9)
-
-let test_broker_out_of_order () =
-  let broker = Broker.create ~seed:1 ~support_size:10 db in
-  (match Broker.hypergraph broker with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "hypergraph before build");
-  (match Broker.active_pricing broker with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "pricing before price");
-  Broker.build broker;
-  match Broker.price broker ~algorithm:"nope" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "unknown algorithm"
+    (revenue >= 0.0 && revenue <= 20.0 +. 1e-9)
 
 let test_broker_negative_valuation () =
-  let broker = Broker.create ~seed:1 ~support_size:10 db in
-  match Broker.add_buyer broker ~valuation:(-1.0) (List.hd workload_queries) with
+  match
+    Broker.of_buyers ~pricing:"ubp" ~seed:1 ~support:10 db
+      [ (List.hd workload_queries, -1.0) ]
+  with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative valuation rejected"
 
+(* Every pricing family: quoting a registered query afresh (conflict set
+   recomputed against the support) is bit-identical to pricing its
+   cached hyperedge. *)
 let test_broker_quote_consistent_with_edge () =
-  let broker = Broker.create ~seed:2 ~support_size:50 db in
-  List.iter (fun q -> Broker.add_buyer broker ~valuation:10.0 q) workload_queries;
-  Broker.build broker;
-  let _ = Broker.price broker ~algorithm:"lpip" in
-  let h = Broker.hypergraph broker in
-  let p = Broker.active_pricing broker in
-  List.iteri
-    (fun i q ->
-      Alcotest.(check (float 1e-9)) "quote = edge price"
-        (Qp_core.Pricing.price p (H.edge h i))
-        (Broker.quote broker q))
-    workload_queries
+  let buyers = List.map (fun q -> (q, 10.0)) workload_queries in
+  List.iter
+    (fun pricing ->
+      let broker = Broker.of_buyers ~pricing ~seed:2 ~support:50 db buyers in
+      List.iteri
+        (fun i q ->
+          let fresh = Broker.quote broker q
+          and cached = Broker.quote_index broker i in
+          Alcotest.(check int64)
+            (pricing ^ ": quote = edge price")
+            (Int64.bits_of_float cached.Qp_serve.Protocol.price)
+            (Int64.bits_of_float fresh.Qp_serve.Protocol.price);
+          Alcotest.(check int)
+            (pricing ^ ": conflict-set size")
+            cached.Qp_serve.Protocol.size fresh.Qp_serve.Protocol.size)
+        workload_queries)
+    Broker.pricing_keys
 
 let test_broker_purchase () =
-  let broker = Broker.create ~seed:2 ~support_size:50 db in
-  List.iter (fun q -> Broker.add_buyer broker ~valuation:10.0 q) workload_queries;
-  Broker.build broker;
-  Broker.set_pricing broker (Qp_core.Pricing.Uniform_bundle 5.0);
-  (match Broker.purchase broker ~budget:4.0 (List.hd workload_queries) with
-  | `Declined price -> Alcotest.(check (float 1e-9)) "declined price" 5.0 price
+  let buyers = List.map (fun q -> (q, 10.0)) workload_queries in
+  let broker = Broker.of_buyers ~pricing:"ubp" ~seed:2 ~support:50 db buyers in
+  let q = List.hd workload_queries in
+  let price = (Broker.quote broker q).Qp_serve.Protocol.price in
+  Alcotest.(check bool) "positive price" true (price > 0.0);
+  let account = Broker.Account.create () in
+  (match Broker.purchase ~account broker ~budget:(price *. 0.8) q with
+  | `Declined p -> Alcotest.(check (float 1e-9)) "declined price" price p
   | `Sold _ -> Alcotest.fail "should decline");
-  (match Broker.purchase broker ~budget:6.0 (List.hd workload_queries) with
-  | `Sold (price, answer) ->
-      Alcotest.(check (float 1e-9)) "sold price" 5.0 price;
+  (match Broker.purchase ~account broker ~budget:price q with
+  | `Sold (p, answer) ->
+      Alcotest.(check (float 1e-9)) "sold price" price p;
       Alcotest.(check bool) "answer correct" true
-        (Result_set.equal answer (Eval.run db (List.hd workload_queries)))
+        (Result_set.equal answer (Eval.run db q))
   | `Declined _ -> Alcotest.fail "should sell");
-  Alcotest.(check (float 1e-9)) "collected" 5.0 (Broker.revenue_collected broker)
-
-let test_broker_rebuild_on_new_buyer () =
-  let broker = Broker.create ~seed:2 ~support_size:20 db in
-  Broker.add_buyer broker ~valuation:1.0 (List.hd workload_queries);
-  Broker.build broker;
-  Broker.add_buyer broker ~valuation:1.0 (List.nth workload_queries 1);
-  Broker.build broker;
-  Alcotest.(check int) "m reflects new buyer" 2 (H.m (Broker.hypergraph broker))
+  Alcotest.(check (float 1e-9)) "collected" price (Broker.Account.spent account)
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
@@ -214,9 +203,7 @@ let suite =
       t "conflict hypergraph" test_conflict_hypergraph;
       t "conflict progress callback" test_conflict_progress_callback;
       t "broker lifecycle" test_broker_lifecycle;
-      t "broker out-of-order errors" test_broker_out_of_order;
       t "broker rejects negative valuation" test_broker_negative_valuation;
       t "broker quote = hyperedge price" test_broker_quote_consistent_with_edge;
       t "broker purchase" test_broker_purchase;
-      t "broker rebuilds on new buyer" test_broker_rebuild_on_new_buyer;
     ] )

@@ -459,9 +459,13 @@ let simplex_bench ~meta () =
    optimal basis carried from member to member), and writes
    BENCH_warmstart.json. Pivot counts come from the "simplex.pivots"
    counter, so the comparison is meaningful even on a single-CPU box
-   where wall time is noisy; a final warm-started CIP run under the
-   Check engine re-solves every member on the dense oracle and records
-   the mismatch count (must be 0: warm starting never changes answers). *)
+   where wall time is noisy; "pivots_abandoned" is the warm run's
+   "simplex.warm_abandoned_pivots", the warm work thrown away before a
+   cold fallback. A third family, the Quick LPIP sweep on the uniform
+   instance, is the one whose warm dual phases stall: it pins that
+   failure class. A final warm-started CIP run under the Check engine
+   re-solves every member on the dense oracle and records the mismatch
+   count (must be 0: warm starting never changes answers). *)
 let warmstart_bench ~meta ctx =
   let module Simplex = Qp_lp.Simplex in
   let inst = Context.instance ctx "skewed" in
@@ -490,6 +494,21 @@ let warmstart_bench ~meta ctx =
            { Qp_core.Lpip.max_candidates = Some 48; max_pivots = 200_000;
              jobs = Some 1 }
          h)
+  in
+  (* the runner's first valuation draw of `qpricing run uniform` *)
+  let h_uniform =
+    V.apply
+      ~rng:(Rng.split (Rng.create (Context.seed ctx)) "val-1")
+      (V.Uniform_val 100.0) (Context.instance ctx "uniform").WI.hypergraph
+  in
+  ignore (H.classes h_uniform);
+  let lpip_uniform () =
+    ignore
+      (Qp_core.Lpip.solve_with_trace
+         ~options:
+           { (Qp_experiments.Runner.lpip_options Qp_experiments.Runner.Quick)
+             with Qp_core.Lpip.jobs = Some 1 }
+         h_uniform)
   in
   print_newline ();
   print_endline "==================================================";
@@ -521,16 +540,21 @@ let warmstart_bench ~meta ctx =
           let hits = counter "simplex.warm_hit" in
           let misses = counter "simplex.warm_miss" in
           let saved = counter "simplex.warm_pivots_saved" in
+          let abandoned = counter "simplex.warm_abandoned_pivots" in
           Printf.printf
-            "  %-6s cold %8.3fs %7d pivots   warm %8.3fs %7d pivots   \
-             pivots %5.2fx  wall %5.2fx   (%d hits, %d misses)\n%!"
+            "  %-12s cold %8.3fs %7d pivots   warm %8.3fs %7d pivots   \
+             pivots %5.2fx  wall %5.2fx   (%d hits, %d misses, %d \
+             abandoned)\n%!"
             name tc pc tw pw
             (Float.of_int pc /. Float.max 1.0 (Float.of_int pw))
             (tc /. Float.max 1e-9 tw)
-            hits misses;
-          (name, tc, pc, tw, pw, hits, misses, saved)
+            hits misses abandoned;
+          (name, tc, pc, tw, pw, hits, misses, saved, abandoned)
         in
-        let results = List.map measure [ ("cip", cip); ("lpip", lpip) ] in
+        let results =
+          List.map measure
+            [ ("cip", cip); ("lpip", lpip); ("lpip-uniform", lpip_uniform) ]
+        in
         (* correctness sentinel: warm-started CIP under the Check engine *)
         Simplex.set_warm_starts true;
         Simplex.reset_cross_check_mismatches ();
@@ -544,17 +568,18 @@ let warmstart_bench ~meta ctx =
   Printf.fprintf oc "{\n  %s,\n  \"check_mismatches\": %d,\n  \"families\": ["
     (meta ()) mismatches;
   List.iteri
-    (fun i (name, tc, pc, tw, pw, hits, misses, saved) ->
+    (fun i (name, tc, pc, tw, pw, hits, misses, saved, abandoned) ->
       Printf.fprintf oc
         "%s\n    { \"name\": %S, \"seconds_cold\": %.6f, \"pivots_cold\": %d,\n\
         \      \"seconds_warm\": %.6f, \"pivots_warm\": %d,\n\
         \      \"pivot_ratio\": %.3f, \"wall_speedup\": %.3f,\n\
-        \      \"warm_hits\": %d, \"warm_misses\": %d, \"pivots_saved\": %d }"
+        \      \"warm_hits\": %d, \"warm_misses\": %d, \"pivots_saved\": %d,\n\
+        \      \"pivots_abandoned\": %d }"
         (if i = 0 then "" else ",")
         name tc pc tw pw
         (Float.of_int pc /. Float.max 1.0 (Float.of_int pw))
         (tc /. Float.max 1e-9 tw)
-        hits misses saved)
+        hits misses saved abandoned)
     results;
   Printf.fprintf oc "\n  ]\n}\n";
   close_out oc;

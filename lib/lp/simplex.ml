@@ -965,13 +965,23 @@ module Revised_engine = struct
      while shrinking the primal violation. Terminates Phase_optimal with
      a primal-feasible (hence optimal) basis, or Phase_unbounded when a
      negative row has no negative tableau entry, i.e. the LP is primal
-     infeasible. Artificial columns never re-enter. *)
+     infeasible. Artificial columns never re-enter.
+
+     Stall rule: a dual pivot whose entering reduced cost is ~0 leaves
+     the dual objective where it was. A whole reinversion interval
+     ([refactor_every]) of such pivots in a row is abandoned as
+     Phase_budget — on the four workloads' sweeps, successful dual
+     phases never string together a third of their interval, while stalled
+     ones run to tens of thousands of pivots before the budget or a
+     vanishing pivot ends them. Giving up early sends the member to the
+     cold fallback it would have reached anyway, so no answer changes. *)
   let run_dual_phase st =
     Qp_obs.with_span "simplex.dual_phase"
       ~args:(fun () -> [ ("rows", Qp_obs.Int st.nrows) ])
     @@ fun () ->
     let before = st.pivots in
     let rho = Array.make st.nrows 0.0 in
+    let stalled = ref 0 in
     let rec loop () =
       if Qp_fault.enabled () then
         match Qp_fault.check ~key:st.pivots "simplex.pivot" with
@@ -1026,8 +1036,16 @@ module Revised_engine = struct
               Phase_numerical "vanishing dual pivot"
             else begin
               pivot st ~r ~q:!q ~rc:!q_rc;
-              if Float.is_finite st.obj_val then loop ()
-              else Phase_numerical "non-finite objective after pivot"
+              if Float.abs !q_rc <= st.tol.Tolerance.entering_phase2 then
+                incr stalled
+              else stalled := 0;
+              if not (Float.is_finite st.obj_val) then
+                Phase_numerical "non-finite objective after pivot"
+              else if !stalled >= st.refactor_every then
+                Phase_budget
+                  (Printf.sprintf "stalled: %d consecutive degenerate pivots"
+                     !stalled)
+              else loop ()
             end
           end
         end
@@ -1055,7 +1073,9 @@ module Revised_engine = struct
 
   type warm_result =
     | Warm of outcome * run_stats * int (* dual-phase pivots *)
-    | Warm_fallback of string
+    | Warm_fallback of { reason : string; pivots : int; dual_pivots : int }
+        (* [pivots] is the abandoned work (all warm phases), of which
+           [dual_pivots] were dual *)
 
   (* Re-solve from the previous optimal basis after the objective and/or
      rhs moved. Order of operations matters:
@@ -1071,9 +1091,9 @@ module Revised_engine = struct
 
      Any non-optimal phase outcome (and a basic artificial drifting off
      zero, which would silently violate a dependent row) surfaces as
-     Warm_fallback; the caller then runs a cold solve, so warm-starting
-     never changes which outcomes are reachable — only how fast the
-     Optimal ones are found. *)
+     Warm_fallback, its reason prefixed with the step that failed; the
+     caller then runs a cold solve, so warm-starting never changes which
+     outcomes are reachable — only how fast the Optimal ones are found. *)
   let warm_solve st ~c ~rhs =
     st.pivots <- 0;
     st.degenerate <- 0;
@@ -1098,7 +1118,11 @@ module Revised_engine = struct
       run_phase st ~phase1:false ~allowed:no_artificials
         ~etol:st.tol.Tolerance.entering_phase2
     in
-    let finish ~dual_pivots =
+    let fallback ~step ~dual_pivots detail =
+      Warm_fallback
+        { reason = step ^ ": " ^ detail; pivots = st.pivots; dual_pivots }
+    in
+    let finish ~step ~dual_pivots =
       (* Guard: a basic artificial off zero means this basis no longer
          satisfies a dependent row under the new rhs. *)
       let art_bad = ref false in
@@ -1108,25 +1132,26 @@ module Revised_engine = struct
           && Float.abs st.xb.(i) > st.tol.Tolerance.residual
         then art_bad := true
       done;
-      if !art_bad then Warm_fallback "basic artificial off zero"
+      if !art_bad then fallback ~step ~dual_pivots "basic artificial off zero"
       else
         Warm
           (extract_optimal st ~phase1_pivots:0, stats_of st ~phase1_pivots:0,
            dual_pivots)
     in
     let step1 = if !c_changed then primal2 () else Phase_optimal in
+    let old_rhs = "phase 2 on old rhs" in
     match step1 with
-    | Phase_budget detail -> Warm_fallback ("phase 2 on old rhs: " ^ detail)
-    | Phase_numerical detail -> Warm_fallback detail
+    | Phase_budget detail | Phase_numerical detail ->
+        fallback ~step:old_rhs ~dual_pivots:0 detail
     | Phase_unbounded ->
         if !rhs_changed then
           (* the certificate ray is rhs-independent, but feasibility of
              the new rhs is unknown from here — let the cold path decide
              between Unbounded and Infeasible *)
-          Warm_fallback "unbounded under old rhs"
+          fallback ~step:old_rhs ~dual_pivots:0 "unbounded"
         else Warm (Unbounded, stats_of st ~phase1_pivots:0, 0)
     | Phase_optimal ->
-        if not !rhs_changed then finish ~dual_pivots:0
+        if not !rhs_changed then finish ~step:old_rhs ~dual_pivots:0
         else begin
           for i = 0 to st.nrows - 1 do
             st.b.(i) <- st.sign.(i) *. rhs.(i)
@@ -1138,24 +1163,25 @@ module Revised_engine = struct
           for i = 0 to st.nrows - 1 do
             if st.xb.(i) < -.st.tol.Tolerance.feasibility then feasible := false
           done;
-          if !feasible then finish ~dual_pivots:0
+          if !feasible then finish ~step:"dual phase" ~dual_pivots:0
           else begin
             let before = st.pivots in
-            match run_dual_phase st with
-            | Phase_budget detail -> Warm_fallback ("dual phase: " ^ detail)
-            | Phase_numerical detail -> Warm_fallback detail
+            let result = run_dual_phase st in
+            let dual_pivots = st.pivots - before in
+            match result with
+            | Phase_budget detail | Phase_numerical detail ->
+                fallback ~step:"dual phase" ~dual_pivots detail
             | Phase_unbounded ->
                 (* dual ray = primal infeasibility certificate *)
-                Warm (Infeasible, stats_of st ~phase1_pivots:0, st.pivots - before)
+                Warm (Infeasible, stats_of st ~phase1_pivots:0, dual_pivots)
             | Phase_optimal -> (
-                let dual_pivots = st.pivots - before in
+                let cleanup = "cleanup phase 2" in
                 match primal2 () with
-                | Phase_optimal -> finish ~dual_pivots
+                | Phase_optimal -> finish ~step:cleanup ~dual_pivots
                 | Phase_unbounded ->
                     Warm (Unbounded, stats_of st ~phase1_pivots:0, dual_pivots)
-                | Phase_budget detail ->
-                    Warm_fallback ("cleanup phase 2: " ^ detail)
-                | Phase_numerical detail -> Warm_fallback detail)
+                | Phase_budget detail | Phase_numerical detail ->
+                    fallback ~step:cleanup ~dual_pivots detail)
           end
         end
 end
@@ -1398,10 +1424,18 @@ let resolve ?engine ?c ?rhs fam =
                 | Optimal _ -> ()
                 | _ -> fam.f_state <- None);
                 (outcome, stats, true, dp)
-            | Revised_engine.Warm_fallback reason ->
+            | Revised_engine.Warm_fallback { reason; pivots; dual_pivots } ->
                 fam.f_state <- None;
+                (* the abandoned pivots stay out of "simplex.pivots",
+                   which counts only the reported solve's work *)
+                Qp_obs.counter "simplex.warm_abandoned_pivots" pivots;
                 Qp_obs.event "simplex.warm_fallback"
-                  ~args:(fun () -> [ ("reason", Qp_obs.Str reason) ]);
+                  ~args:(fun () ->
+                    [
+                      ("reason", Qp_obs.Str reason);
+                      ("pivots", Qp_obs.Int pivots);
+                      ("dual_pivots", Qp_obs.Int dual_pivots);
+                    ]);
                 let outcome, stats = cold_revised () in
                 (outcome, stats, false, 0))
         | _ ->

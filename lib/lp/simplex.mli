@@ -156,7 +156,8 @@ val solve :
       phase, then a roundoff-cleanup phase-2 sweep.
 
     Warm solving is a pure optimization: any warm-path failure (budget,
-    numerics, a basic artificial drifting off zero) silently falls back
+    a stalled dual phase, numerics, a basic artificial drifting off
+    zero) silently falls back
     to a cold solve, so {!resolve} reaches exactly the outcomes a cold
     {!solve} of the same member would. *)
 
@@ -205,8 +206,14 @@ val resolve : ?engine:engine -> ?c:float array -> ?rhs:float array -> family -> 
     ["simplex.warm_pivots_saved"] counter plus
     ["simplex.warm_pivots_saved_max"] gauge (vs the family's last cold
     solve), and — when the dual phase runs — a ["simplex.dual_phase"]
-    span. Warm-path failures emit a ["simplex.warm_fallback"] event and
-    re-solve cold. *)
+    span. A dual phase that makes a whole reinversion interval
+    ([refactor_every]) of consecutive dual-degenerate pivots is
+    abandoned as stalled. Warm-path failures emit a
+    ["simplex.warm_fallback"] event — [reason] prefixed by the failing
+    step ([phase 2 on old rhs:], [dual phase:] or [cleanup phase 2:]),
+    plus the abandoned [pivots] and [dual_pivots] — add those pivots to
+    the ["simplex.warm_abandoned_pivots"] counter, and re-solve cold.
+    ["simplex.pivots"] counts only the reported (cold) solve. *)
 
 val family_size : family -> int * int
 (** [(rows, vars)] of the shared matrix. *)

@@ -220,6 +220,9 @@ type t = {
   counters : (string * float) list;  (* final "C" samples, label order *)
   gauges : (string * float) list;  (* "C" samples tagged kind=gauge *)
   events : (string * int) list;  (* instant-event counts, label order *)
+  reasons : (string * string * int) list;
+      (* instant events carrying a "reason" arg: (label, reason, count),
+         first-seen order *)
   total_us : float;  (* trace duration: last timestamp seen *)
 }
 
@@ -236,6 +239,8 @@ let aggregate lines =
   let order = ref [] in
   let instants : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let instant_order = ref [] in
+  let reasons : (string * string, int) Hashtbl.t = Hashtbl.create 16 in
+  let reason_order = ref [] in
   let counters = ref [] in
   let gauges = ref [] in
   let stack = ref [] in
@@ -328,7 +333,15 @@ let aggregate lines =
             (if not (Hashtbl.mem instants label) then
                instant_order := label :: !instant_order);
             Hashtbl.replace instants label
-              (1 + Option.value (Hashtbl.find_opt instants label) ~default:0)
+              (1 + Option.value (Hashtbl.find_opt instants label) ~default:0);
+            (match Option.bind (field "args" j) (string_field "reason") with
+            | Some reason ->
+                let key = (label, reason) in
+                (if not (Hashtbl.mem reasons key) then
+                   reason_order := key :: !reason_order);
+                Hashtbl.replace reasons key
+                  (1 + Option.value (Hashtbl.find_opt reasons key) ~default:0)
+            | None -> ())
         | Some "C" -> (
             saw_record := true;
             let label = Option.value (string_field "name" j) ~default:"?" in
@@ -371,6 +384,11 @@ let aggregate lines =
       List.rev_map
         (fun label -> (label, Hashtbl.find instants label))
         !instant_order;
+    reasons =
+      List.rev_map
+        (fun ((label, reason) as key) ->
+          (label, reason, Hashtbl.find reasons key))
+        !reason_order;
     total_us = !last_ts;
   }
 
@@ -391,6 +409,7 @@ let of_file path =
 let spans t = t.spans
 let counters t = t.counters
 let gauges t = t.gauges
+let event_reasons t = t.reasons
 
 (* --- rendering --------------------------------------------------------- *)
 
@@ -478,6 +497,14 @@ let render t =
     Buffer.add_string b
       (Qp_util.Text_table.render ~header:[ "event"; "count" ]
          (List.map (fun (k, v) -> [ k; string_of_int v ]) t.events))
+  end;
+  if t.reasons <> [] then begin
+    Buffer.add_string b "\ninstant events by reason:\n";
+    Buffer.add_string b
+      (Qp_util.Text_table.render ~header:[ "event"; "reason"; "count" ]
+         (List.map
+            (fun (k, reason, v) -> [ k; reason; string_of_int v ])
+            t.reasons))
   end;
   Buffer.contents b
 

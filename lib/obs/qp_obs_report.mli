@@ -72,10 +72,15 @@ val gauges : t -> (string * float) list
     {!Qp_obs.to_chrome_lines}), sorted by label. Traces written before
     the tag existed report their gauges under {!counters}. *)
 
+val event_reasons : t -> (string * string * int) list
+(** Instant events that carry a string ["reason"] arg, counted per
+    [(label, reason)] in first-seen order — e.g. how many
+    ["simplex.warm_fallback"] events each failing warm step caused. *)
+
 val render : t -> string
 (** The human-readable report: span table sorted by self time, hottest
     label's duration histogram, counters, gauges, instant-event
-    counts. *)
+    counts and their breakdown by ["reason"] arg. *)
 
 val report_file : string -> (string, string) result
 (** [of_file] followed by {!render}. *)

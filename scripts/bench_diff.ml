@@ -11,7 +11,10 @@
                   each family present in both runs the warm pivot count
                   may grow at most 10% while the pivot ratio may shrink
                   at most 10% (pivot counts are deterministic, so these
-                  bounds are tight on purpose — wall-clock is not gated);
+                  bounds are tight on purpose — wall-clock is not gated),
+                  and the warm pivots abandoned to cold fallbacks may
+                  grow at most 10% plus 64 pivots (a baseline without
+                  the field gives no verdict);
      - conflict:  every workload's hypergraph must be bit-identical
                   across relational engines and job counts with zero
                   check-mode disagreements and no dropped queries; the
@@ -132,7 +135,26 @@ let check_warmstart ~baseline ~current =
                 fail "warmstart %s pivot_ratio %.2f -> %.2f (>10%% less \
                       pivot saving)"
                   name br cr
-          | _ -> ()))
+          | _ -> ());
+          (* Stalled warm phases burn pivots that "pivots_warm" never
+             sees; the slack absorbs a single short extra fallback. *)
+          match Option.bind (Json.member "pivots_abandoned" b) Json.num with
+          | None ->
+              ok "warmstart %s pivots_abandoned: no baseline, no verdict" name
+          | Some ba -> (
+              match num_field ~file:"current warmstart" c "pivots_abandoned"
+              with
+              | Some ca ->
+                  let limit = (ba *. 1.10) +. 64.0 in
+                  if ca <= limit then
+                    ok "warmstart %s pivots_abandoned %.0f (baseline %.0f, \
+                        limit %.0f)"
+                      name ca ba limit
+                  else
+                    fail "warmstart %s pivots_abandoned %.0f -> %.0f (limit \
+                          %.0f): warm phases stall before falling back"
+                      name ba ca limit
+              | None -> ()))
     base_fams
 
 let check_serve ~baseline ~current =

@@ -334,6 +334,36 @@ let test_report_renders_gauges () =
       Alcotest.(check bool) "render shows the gauge table" true
         (contains (Report.render t) "gauges")
 
+(* Instant events are broken down by their "reason" arg, so a report
+   shows which warm step failed, not only how many fallbacks there were. *)
+let test_report_breaks_down_reasons () =
+  let path = Filename.temp_file "qp_obs_reason" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  (with_tracing @@ fun () ->
+   let fallback reason =
+     Obs.event "simplex.warm_fallback" ~args:(fun () ->
+         [ ("reason", Obs.Str reason); ("pivots", Obs.Int 7) ])
+   in
+   fallback "dual phase: vanishing dual pivot";
+   fallback "cleanup phase 2: pivot budget 10 exceeded";
+   fallback "dual phase: vanishing dual pivot";
+   Obs.event "t.tick" ~args:(fun () -> []);
+   Obs.write_chrome_trace path);
+  match Report.of_file path with
+  | Error msg -> Alcotest.failf "reason trace: %s" msg
+  | Ok t ->
+      Alcotest.(check (list (triple string string int)))
+        "counts per (event, reason), first-seen order"
+        [
+          ("simplex.warm_fallback", "dual phase: vanishing dual pivot", 2);
+          ( "simplex.warm_fallback",
+            "cleanup phase 2: pivot budget 10 exceeded",
+            1 );
+        ]
+        (Report.event_reasons t);
+      Alcotest.(check bool) "render shows the reason table" true
+        (contains (Report.render t) "instant events by reason")
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "obs",
@@ -355,4 +385,6 @@ let suite =
       t "report rejects malformed traces" test_of_file_malformed;
       t "report --diff flags a synthetic slowdown" test_diff_flags_slowdown;
       t "report renders gauges" test_report_renders_gauges;
+      t "report breaks instant events down by reason"
+        test_report_breaks_down_reasons;
     ] )

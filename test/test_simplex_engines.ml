@@ -426,6 +426,55 @@ let test_check_mode_warm_cip () =
     "no warm/cold disagreements" 0
     (Simplex.cross_check_mismatches ())
 
+(* --- stalled warm dual phases -------------------------------------------- *)
+
+(* The Quick LPIP sweep over the Default uniform instance under the
+   runner's uniform[1,100] draw. Its warm dual phases go dual-degenerate
+   for tens of thousands of pivots; the stall rule abandons each after
+   one reinversion interval and lets the cold fallback answer. The
+   revenue is pinned bit-for-bit to the value the sweep earns without
+   the rule, so abandoning early changes no answer; the abandoned-work
+   counter pins the speed (without the rule: ~260 000 abandoned pivots
+   and ~20 s). *)
+let test_stalled_dual_phases_abandoned () =
+  let module WI = Qp_experiments.Workload_instances in
+  let module V = Qp_workloads.Valuations in
+  let module Rng = Qp_util.Rng in
+  let module Lpip = Qp_core.Lpip in
+  let inst = WI.uniform ~scale:WI.Default ~seed:42 () in
+  let h =
+    V.apply
+      ~rng:(Rng.split (Rng.create 42) "val-1")
+      (V.Uniform_val 100.0) inst.WI.hypergraph
+  in
+  Qp_obs.set_enabled true;
+  Qp_obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Qp_obs.set_enabled false;
+      Qp_obs.reset ())
+    (fun () ->
+      let report =
+        Lpip.solve_report
+          ~options:
+            { Lpip.max_candidates = Some 12; max_pivots = 60_000; jobs = Some 1 }
+          h
+      in
+      Alcotest.(check int) "every candidate LP solved" 11 report.Lpip.solved;
+      Alcotest.(check int) "candidates attempted" 11 report.Lpip.attempted;
+      let revenue = Qp_core.Pricing.revenue report.Lpip.pricing h in
+      Alcotest.(check int64)
+        (Printf.sprintf "revenue %.17g is bit-identical" revenue)
+        (Int64.bits_of_float 10813.87239382704)
+        (Int64.bits_of_float revenue);
+      let abandoned =
+        Option.value ~default:0
+          (List.assoc_opt "simplex.warm_abandoned_pivots" (Qp_obs.counters ()))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "abandoned warm pivots %d < 10000" abandoned)
+        true (abandoned < 10_000))
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "simplex-engines",
@@ -443,4 +492,6 @@ let suite =
       t "warm resolve = cold solve on 300 perturbation chains"
         test_warm_vs_cold_property;
       t "check mode over warm-started CIP sweeps" test_check_mode_warm_cip;
+      t "stalled warm dual phases abandoned, revenue unchanged"
+        test_stalled_dual_phases_abandoned;
     ] )

@@ -4,7 +4,7 @@
         bench-simplex bench-warmstart bench-serve docs check-docs \
         check-failwith check-float-sort check-cold-lp check-obs-labels \
         check-snapshot-version check-rel-engines serve-smoke bench-gate \
-        check examples clean
+        perfbench-smoke check examples clean
 
 all: build
 
@@ -116,9 +116,15 @@ else
 	dune exec scripts/bench_diff.exe
 endif
 
+# The repository benchmark's Tiny-scale self-test (~10 s, see
+# perfbench/README.md): runs each cell once and fails when its revenues
+# drift from the recorded references.
+perfbench-smoke:
+	dune build @perfbench/smoke
+
 # The full pre-merge gate: build, tests, doc coverage, failure lints,
-# serving smoke, perf-regression gate.
-check: build test check-docs check-failwith check-float-sort check-cold-lp check-obs-labels check-snapshot-version check-rel-engines serve-smoke bench-gate
+# serving smoke, benchmark self-test, perf-regression gate.
+check: build test check-docs check-failwith check-float-sort check-cold-lp check-obs-labels check-snapshot-version check-rel-engines serve-smoke perfbench-smoke bench-gate
 
 # Regenerate every table and figure of the paper (Quick profile).
 bench:

@@ -17,6 +17,18 @@ val sum_valuations : Hypergraph.t -> float
     {!Hypergraph.sum_valuations}, exposed here as the plots' default
     normalizer. *)
 
+val greedy_cover :
+  Hypergraph.t -> Hypergraph.edge -> Hypergraph.edge list option
+(** [greedy_cover h] returns the generator of the bound's cover
+    constraints; apply it to each target edge of [h]. It picks, among
+    the edges whose bundle differs from the target's, the one with the
+    least valuation per newly covered item, until every item of the
+    target is covered; ties on the ratio keep the lower edge id. The
+    cover lists the chosen edges last-chosen first; [None] when some
+    item of the target lies in no other bundle. The partial application
+    builds the item index once, so the returned function is cheap per
+    target; it is not safe to share across domains. *)
+
 val subadditive_bound :
   ?max_covers:int -> ?max_pivots:int -> Hypergraph.t -> float
 (** [max_covers] caps the number of generated cover constraints

@@ -138,11 +138,11 @@ let solve_report ?(options = default_options) h =
         ("max_degree", Qp_obs.Int (Hypergraph.max_degree h));
       ])
   @@ fun () ->
-  let started = Unix.gettimeofday () in
+  let started = Qp_util.Timing.now_s () in
   let in_budget () =
     match options.time_budget with
     | None -> true
-    | Some budget -> Unix.gettimeofday () -. started < budget
+    | Some budget -> Qp_util.Timing.now_s () -. started < budget
   in
   ignore (Hypergraph.classes h);
   (* One welfare LP per capacity, solved by the worker pool. Workers

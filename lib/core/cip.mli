@@ -15,7 +15,8 @@ type options = {
   epsilon : float;
   max_pivots : int;
   time_budget : float option;
-      (** wall-clock seconds across the whole grid; once exceeded the
+      (** elapsed seconds across the whole grid, read on the monotonic
+          clock ({!Qp_util.Timing.now_s}); once exceeded the
           remaining capacities are skipped — the paper applies exactly
           this mitigation ("we fix ε = 3 to limit the running time",
           §6.4) *)

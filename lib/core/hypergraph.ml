@@ -83,11 +83,21 @@ let avg_edge_size t =
 
 let sum_valuations t = Array.fold_left (fun acc e -> acc +. e.valuation) 0.0 t.edges
 
-let edges_of_item t j =
-  Array.fold_left
-    (fun acc e -> if Array.exists (fun i -> i = j) e.items then e.id :: acc else acc)
-    [] t.edges
-  |> List.rev
+let item_edges t =
+  let d = degrees t in
+  let index = Array.map (fun k -> Array.make k 0) d in
+  let fill = Array.make t.n_items 0 in
+  (* Edges are visited in increasing id order, so each row comes out
+     sorted. *)
+  Array.iter
+    (fun e ->
+      Array.iter
+        (fun j ->
+          index.(j).(fill.(j)) <- e.id;
+          fill.(j) <- fill.(j) + 1)
+        e.items)
+    t.edges;
+  index
 
 let compute_classes t =
   (* Pattern of an item = the sorted list of edges containing it. *)

@@ -55,7 +55,11 @@ val avg_edge_size : t -> float
 val sum_valuations : t -> float
 (** [sum_e v_e] — the trivial revenue upper bound. *)
 
-val edges_of_item : t -> int -> int list
+val item_edges : t -> int array array
+(** [item_edges h] — for every item, the sorted ids of the edges that
+    contain it: the inverted index the greedy set covers of
+    {!Bounds} and {!Layering} walk. Computed afresh on each call (it is
+    not cached in [t], whose layout the serving snapshots marshal). *)
 
 (** {2 Item membership classes}
 

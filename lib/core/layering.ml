@@ -1,76 +1,107 @@
-module Int_set = Set.Make (Int)
+(* One minimal cover per call over the [remaining] edges: a greedy
+   cover (most new items first, higher valuation breaking ties, then the
+   earlier edge in [remaining]) followed by a minimalization pass that
+   drops redundant edges, cheapest first — minimality is what
+   guarantees unique items. Returns the layer in choice order, latest
+   first.
 
-let items_of edges =
-  List.fold_left
-    (fun acc (e : Hypergraph.edge) ->
-      Array.fold_left (fun acc j -> Int_set.add j acc) acc e.items)
-    Int_set.empty edges
-
-(* Greedy cover (most new items first, higher valuation breaking ties)
-   followed by a minimalization pass that drops redundant edges,
-   cheapest first — minimality is what guarantees unique items. *)
-let minimal_cover edges =
-  let universe = items_of edges in
-  let uncovered = ref universe in
-  let chosen = ref [] in
-  let remaining = ref edges in
-  while not (Int_set.is_empty !uncovered) do
-    let gain (e : Hypergraph.edge) =
-      Array.fold_left
-        (fun acc j -> if Int_set.mem j !uncovered then acc + 1 else acc)
-        0 e.items
-    in
-    let best =
-      List.fold_left
-        (fun acc e ->
-          let g = gain e in
-          match acc with
+   State shared across calls, sized by the whole hypergraph: the
+   item -> edges index, a live gain per edge ([gain.(e)] = the number
+   of [e]'s items still uncovered, valid for the remaining edges), and
+   per item an uncovered flag and the number of chosen edges holding
+   it. *)
+let minimal_cover h =
+  let item_edges = Hypergraph.item_edges h in
+  let gain = Array.make (Hypergraph.m h) 0 in
+  let uncovered = Array.make (Hypergraph.n_items h) false in
+  let count = Array.make (Hypergraph.n_items h) 0 in
+  fun (remaining : Hypergraph.edge list) ->
+    (* The universe is every remaining edge's items, so each edge
+       starts out gaining its whole bundle. *)
+    let live = Array.of_list remaining in
+    let left = ref 0 in
+    Array.iter
+      (fun (e : Hypergraph.edge) ->
+        gain.(e.id) <- Array.length e.items;
+        Array.iter
+          (fun j ->
+            if not uncovered.(j) then begin
+              uncovered.(j) <- true;
+              count.(j) <- 0;
+              incr left
+            end)
+          e.items)
+      live;
+    let n_live = ref (Array.length live) in
+    let chosen = ref [] in
+    while !left > 0 do
+      (* Gains only fall and a chosen edge's drops to 0, so edges at
+         gain 0 leave the scan for good; the survivors keep their
+         [remaining] order. *)
+      let kept = ref 0 in
+      let best = ref None in
+      for i = 0 to !n_live - 1 do
+        let e = live.(i) in
+        let g = gain.(e.id) in
+        if g > 0 then begin
+          live.(!kept) <- e;
+          incr kept;
+          match !best with
           | Some (bg, (be : Hypergraph.edge)) ->
-              if g > bg || (g = bg && e.Hypergraph.valuation > be.valuation) then
-                Some (g, e)
-              else acc
-          | None -> Some (g, e))
-        None !remaining
+              if g > bg || (g = bg && e.valuation > be.valuation) then
+                best := Some (g, e)
+          | None -> best := Some (g, e)
+        end
+      done;
+      n_live := !kept;
+      match !best with
+      | Some (_, e) ->
+          chosen := e :: !chosen;
+          Array.iter
+            (fun j ->
+              count.(j) <- count.(j) + 1;
+              if uncovered.(j) then begin
+                uncovered.(j) <- false;
+                decr left;
+                Array.iter (fun e' -> gain.(e') <- gain.(e') - 1) item_edges.(j)
+              end)
+            e.items
+      | None -> assert false (* the remaining edges always cover their own items *)
+    done;
+    (* Minimalize: drop an edge when the others still cover everything,
+       i.e. when each of its items is covered at least twice. Trying
+       cheap edges first keeps value in the layer. *)
+    let by_value_asc =
+      List.sort
+        (fun (a : Hypergraph.edge) (b : Hypergraph.edge) ->
+          compare a.valuation b.valuation)
+        !chosen
     in
-    match best with
-    | Some (g, e) when g > 0 ->
-        chosen := e :: !chosen;
-        remaining := List.filter (fun (e' : Hypergraph.edge) -> e'.id <> e.id) !remaining;
-        uncovered :=
-          Array.fold_left (fun acc j -> Int_set.remove j acc) !uncovered e.items
-    | _ -> assert false (* the remaining edges always cover their own items *)
-  done;
-  (* Minimalize: drop an edge when the others still cover everything.
-     Trying cheap edges first keeps value in the layer. *)
-  let by_value_asc =
-    List.sort
-      (fun (a : Hypergraph.edge) (b : Hypergraph.edge) ->
-        compare a.valuation b.valuation)
-      !chosen
-  in
-  let cover = ref !chosen in
-  List.iter
-    (fun (e : Hypergraph.edge) ->
-      let without = List.filter (fun (e' : Hypergraph.edge) -> e'.id <> e.id) !cover in
-      if Int_set.equal (items_of without) universe then cover := without)
-    by_value_asc;
-  !cover
+    let dropped = Hashtbl.create 16 in
+    List.iter
+      (fun (e : Hypergraph.edge) ->
+        if Array.for_all (fun j -> count.(j) >= 2) e.items then begin
+          Array.iter (fun j -> count.(j) <- count.(j) - 1) e.items;
+          Hashtbl.replace dropped e.id ()
+        end)
+      by_value_asc;
+    List.filter (fun (e : Hypergraph.edge) -> not (Hashtbl.mem dropped e.id)) !chosen
 
 let layers h =
   let non_empty =
     Array.to_list (Hypergraph.edges h)
     |> List.filter (fun (e : Hypergraph.edge) -> Array.length e.items > 0)
   in
+  let minimal_cover = minimal_cover h in
+  let peeled = Array.make (Hypergraph.m h) false in
   let rec peel remaining acc =
     match remaining with
     | [] -> List.rev acc
     | _ ->
         let layer = minimal_cover remaining in
-        let layer_ids = Int_set.of_list (List.map (fun (e : Hypergraph.edge) -> e.id) layer) in
+        List.iter (fun (e : Hypergraph.edge) -> peeled.(e.id) <- true) layer;
         let rest =
-          List.filter
-            (fun (e : Hypergraph.edge) -> not (Int_set.mem e.id layer_ids))
-            remaining
+          List.filter (fun (e : Hypergraph.edge) -> not peeled.(e.id)) remaining
         in
         peel rest (layer :: acc)
   in

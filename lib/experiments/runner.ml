@@ -88,7 +88,7 @@ let run_once ~specs h =
   List.map
     (fun (spec : Algorithms.spec) ->
       Qp_obs.with_span ("algo." ^ spec.key) @@ fun () ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Qp_util.Timing.now_s () in
       let pricing, degraded =
         match
           ( spec.key,
@@ -99,8 +99,10 @@ let run_once ~specs h =
         | _ -> spec.solve_report h
       in
       Hashtbl.replace solved spec.key pricing;
-      let seconds = Unix.gettimeofday () -. t0 in
-      let revenue = Pricing.revenue pricing h in
+      let seconds = Qp_util.Timing.now_s () -. t0 in
+      let revenue =
+        Qp_obs.with_span "runner.revenue" @@ fun () -> Pricing.revenue pricing h
+      in
       Qp_obs.annotate (fun () -> [ ("revenue", Qp_obs.Float revenue) ]);
       (spec.label, revenue, seconds, degraded))
     specs

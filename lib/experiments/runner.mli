@@ -29,7 +29,7 @@ type measurement = {
   algorithm : string;
   revenue : float;
   normalized : float;  (** revenue / sum of valuations *)
-  seconds : float;
+  seconds : float;  (** mean solve time per run, monotonic clock *)
   degraded : string option;
       (** set when the algorithm degraded to a fallback pricing in at
           least one run — {!Qp_core.Degrade.describe} of the first

@@ -37,7 +37,7 @@ let build_row ?attempt ?engine db deltas index (q, valuation) =
   Qp_obs.with_span "conflict.query"
     ~args:(fun () -> [ ("query", Qp_obs.Str q.Query.name) ])
   @@ fun () ->
-  let t0 = Unix.gettimeofday () in
+  let t0 = Qp_util.Timing.now_s () in
   let prep = Delta_eval.prepare ?engine db q in
   let items = conflict_set_prepared prep deltas in
   Qp_obs.annotate (fun () ->
@@ -47,7 +47,7 @@ let build_row ?attempt ?engine db deltas index (q, valuation) =
       ]);
   ( (q.Query.name, items, valuation),
     Delta_eval.strategy_name prep,
-    Unix.gettimeofday () -. t0 )
+    Qp_util.Timing.now_s () -. t0 )
 
 let hypergraph ?on_progress ?jobs ?engine db valued_queries deltas =
   Qp_obs.with_span "conflict.build"
@@ -57,7 +57,7 @@ let hypergraph ?on_progress ?jobs ?engine db valued_queries deltas =
         ("support", Qp_obs.Int (Array.length deltas));
       ])
   @@ fun () ->
-  let t0 = Unix.gettimeofday () in
+  let t0 = Qp_util.Timing.now_s () in
   (* Resolve the engine here, once: workers inherit it as an explicit
      argument instead of re-reading the process default in their own
      domain, so a concurrent [set_default_engine] cannot split a build
@@ -141,7 +141,7 @@ let hypergraph ?on_progress ?jobs ?engine db valued_queries deltas =
       jobs = pool.Qp_util.Parallel.jobs;
       query_seconds;
       worker_busy = pool.Qp_util.Parallel.busy;
-      elapsed = Unix.gettimeofday () -. t0;
+      elapsed = Qp_util.Timing.now_s () -. t0;
     }
   in
   (* The stats record predates the tracing layer and remains the bench

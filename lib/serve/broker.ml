@@ -17,7 +17,7 @@ module Rng = Qp_util.Rng
 (* Durations and uptime read the monotonic clock, like the Server
    loop: a wall-clock step must not corrupt STATS or METRICS. *)
 let now_ns () = Monotonic_clock.now ()
-let now_s () = Int64.to_float (now_ns ()) /. 1e9
+let now_s = Qp_util.Timing.now_s
 
 type t = {
   workload : string;

@@ -1,7 +1,9 @@
+let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
+
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_s () in
   let result = f () in
-  (result, Unix.gettimeofday () -. t0)
+  (result, now_s () -. t0)
 
 let time_runs ?(warmup = 1) ~runs f =
   assert (runs > 0);

@@ -1,8 +1,15 @@
-(** Wall-clock timing for the runtime tables (Tables 4-6). *)
+(** Elapsed-time measurement for the runtime tables (Tables 4-6) and
+    the solvers' time budgets, on the monotonic clock: a step of the
+    wall clock (NTP, a manual reset) cannot stretch, shrink or negate a
+    measured duration. *)
+
+val now_s : unit -> float
+(** Seconds on the monotonic clock, from an arbitrary origin: only
+    differences of two readings mean anything. *)
 
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f ()] and returns its result together with the
-    elapsed wall-clock seconds. *)
+    elapsed seconds. *)
 
 val time_runs : ?warmup:int -> runs:int -> (unit -> 'a) -> float
 (** [time_runs ~warmup ~runs f] reports the mean elapsed seconds over

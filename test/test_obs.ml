@@ -124,6 +124,24 @@ let test_structure_bit_identical () =
         base_counts counts)
     [ 2; 4 ]
 
+(* The runner's non-algorithm work is attributed: the §6.1 bound (its
+   greedy covers and cover LP) and each algorithm's revenue evaluation
+   run under their own spans, not as runner.run self time. *)
+let test_cell_attributes_bound_and_revenue () =
+  let inst = Lazy.force tpch in
+  with_tracing @@ fun () ->
+  ignore
+    (Runner.run_cell ~jobs:1 ~n_runs:1 ~profile:Runner.Quick ~seed:5
+       (V.Uniform_val 100.0) inst);
+  let s = Obs.structure () in
+  List.iter
+    (fun label ->
+      Alcotest.(check bool) (label ^ " span recorded") true
+        (contains s ("span " ^ label)))
+    [ "bounds.subadditive"; "runner.revenue" ];
+  Alcotest.(check bool) "bound span carries its row counts" true
+    (contains s "cover_rows")
+
 (* --- chrome export and report round trip ------------------------------ *)
 
 let test_report_round_trip () =
@@ -374,6 +392,8 @@ let suite =
       t "disabled mode records nothing" test_disabled_records_nothing;
       t "cell structure bit-identical across job counts"
         test_structure_bit_identical;
+      t "cell trace attributes the bound and revenue evaluation"
+        test_cell_attributes_bound_and_revenue;
       t "trace file → report round trip" test_report_round_trip;
       t "histogram bucketing and merge" test_hist_bucketing;
       t "quantiles monotone and clamped" test_quantiles_monotone_and_clamped;

@@ -3,8 +3,8 @@
 .PHONY: all build test chaos soak bench bench-full bench-json bench-conflict \
         bench-simplex bench-warmstart bench-serve docs check-docs \
         check-failwith check-float-sort check-cold-lp check-obs-labels \
-        check-snapshot-version check-rel-engines serve-smoke bench-gate \
-        perfbench-smoke check examples clean
+        check-snapshot-version check-rel-engines check-lp-engines serve-smoke \
+        bench-gate perfbench-smoke check examples clean
 
 all: build
 
@@ -83,6 +83,22 @@ check-snapshot-version:
 check-rel-engines:
 	dune exec scripts/check_rel_engines.exe
 
+# Run one Tiny-scale cell of every workload at -j 2 with
+# --lp-engine check — every LP the cell solves (the cell's algorithms
+# fanned out over the pool, warm-started sweeps included) is re-solved
+# on the dense tableau oracle — and fail on any engine disagreement.
+LP_CHECK_WORKLOADS = skewed uniform tpch ssb
+check-lp-engines:
+	dune build bin/qpricing.exe
+	@for w in $(LP_CHECK_WORKLOADS); do \
+	  out=$$(_build/default/bin/qpricing.exe run $$w --scale tiny -j 2 --lp-engine check 2>&1) \
+	    || { echo "$$out"; echo "check-lp-engines: $$w failed"; exit 1; }; \
+	  if echo "$$out" | grep "engine disagreement"; then \
+	    echo "check-lp-engines: $$w: the revised and dense engines disagree"; exit 1; \
+	  fi; \
+	  echo "check-lp-engines: $$w ok"; \
+	done
+
 # Stand a broker on a temp socket, pull 20 quotes through it, and
 # require each to be bit-identical to the in-process pricing — the
 # serving layer's end-to-end identity gate (see docs/SERVING.md). Then
@@ -124,7 +140,7 @@ perfbench-smoke:
 
 # The full pre-merge gate: build, tests, doc coverage, failure lints,
 # serving smoke, benchmark self-test, perf-regression gate.
-check: build test check-docs check-failwith check-float-sort check-cold-lp check-obs-labels check-snapshot-version check-rel-engines serve-smoke perfbench-smoke bench-gate
+check: build test check-docs check-failwith check-float-sort check-cold-lp check-obs-labels check-snapshot-version check-rel-engines check-lp-engines serve-smoke perfbench-smoke bench-gate
 
 # Regenerate every table and figure of the paper (Quick profile).
 bench:

@@ -83,29 +83,50 @@ let synthesize_xos ~lpip ~cip h =
              (Qp_core.Degrade.make ~algorithm:"xos" ~fallback:"uip"
                 ~reason:"no additive component survived")) )
 
-let run_once ~specs h =
-  let solved = Hashtbl.create 8 in
-  List.map
-    (fun (spec : Algorithms.spec) ->
-      Qp_obs.with_span ("algo." ^ spec.key) @@ fun () ->
-      let t0 = Qp_util.Timing.now_s () in
-      let pricing, degraded =
-        match
-          ( spec.key,
-            Hashtbl.find_opt solved "lpip",
-            Hashtbl.find_opt solved "cip" )
-        with
-        | "xos", Some lpip, Some cip -> synthesize_xos ~lpip ~cip h
-        | _ -> spec.solve_report h
-      in
-      Hashtbl.replace solved spec.key pricing;
-      let seconds = Qp_util.Timing.now_s () -. t0 in
-      let revenue =
-        Qp_obs.with_span "runner.revenue" @@ fun () -> Pricing.revenue pricing h
-      in
-      Qp_obs.annotate (fun () -> [ ("revenue", Qp_obs.Float revenue) ]);
-      (spec.label, revenue, seconds, degraded))
-    specs
+(* One valuation draw's algorithms as one pool fan-out: UBP, UIP, LPIP,
+   CIP and Layering run as parallel tasks (LPIP's and CIP's own sweeps
+   then run sequentially inside their tasks, by the pool's nested-map
+   rule, over the same fixed chunks — so warm chains and answers are
+   those of any QP_JOBS), then XOS is synthesized from the LPIP and CIP
+   results. Each algorithm's [seconds] is its own task's time, so under
+   a pool they overlap. *)
+let run_once ~jobs ~specs h =
+  (* Workers would otherwise race to fill the shared class cache. *)
+  Qp_obs.with_span "runner.classes" (fun () -> ignore (Hypergraph.classes h));
+  let measure (spec : Algorithms.spec) solve =
+    Qp_obs.with_span ("algo." ^ spec.key) @@ fun () ->
+    let t0 = Qp_util.Timing.now_s () in
+    let pricing, degraded = solve () in
+    let seconds = Qp_util.Timing.now_s () -. t0 in
+    let revenue =
+      Qp_obs.with_span "runner.revenue" @@ fun () -> Pricing.revenue pricing h
+    in
+    Qp_obs.annotate (fun () -> [ ("revenue", Qp_obs.Float revenue) ]);
+    (spec.key, pricing, (spec.label, revenue, seconds, degraded))
+  in
+  let xos, direct =
+    List.partition (fun (spec : Algorithms.spec) -> spec.key = "xos") specs
+  in
+  let solved =
+    Array.to_list
+      (Qp_util.Parallel.map ?jobs
+         (fun (spec : Algorithms.spec) ->
+           measure spec (fun () -> spec.solve_report h))
+         (Array.of_list direct))
+  in
+  let find key =
+    List.find_map (fun (k, p, _) -> if k = key then Some p else None) solved
+  in
+  let synthesized =
+    List.map
+      (fun (spec : Algorithms.spec) ->
+        measure spec (fun () ->
+            match (find "lpip", find "cip") with
+            | Some lpip, Some cip -> synthesize_xos ~lpip ~cip h
+            | _ -> spec.solve_report h))
+      xos
+  in
+  List.map (fun (_, _, m) -> m) (solved @ synthesized)
 
 let run_cell ?(attempt = 0) ?jobs ?n_runs ~profile ~seed model instance =
   (* The cell's fault key is derived from its identity (instance x
@@ -144,7 +165,7 @@ let run_cell ?(attempt = 0) ?jobs ?n_runs ~profile ~seed model instance =
             model instance.Workload_instances.hypergraph
         in
         let total = Float.max 1e-9 (Hypergraph.sum_valuations h) in
-        (total, Bounds.subadditive_bound h /. total, run_once ~specs h))
+        (total, Bounds.subadditive_bound h /. total, run_once ~jobs ~specs h))
       (Array.init n_runs (fun i -> i + 1))
   in
   let totals = Hashtbl.create 8 in

@@ -37,3 +37,8 @@ val ftran : t -> float array -> unit
 val btran : t -> float array -> unit
 (** [btran t y] replaces dense [y] with [y B^-1] by applying every eta
     inverse in reverse file order. *)
+
+val btran2 : t -> float array -> float array -> unit
+(** [btran2 t a b] is [btran t a; btran t b] in one walk of the file:
+    both results are bit-identical to the two separate passes. [a] and
+    [b] must be distinct arrays. *)

@@ -78,10 +78,11 @@ let with_engine e f =
   Fun.protect ~finally:(fun () -> engine_ref := saved) f
 
 (* Cross-check disagreements survive independently of tracing, so tests
-   can assert zero without enabling Qp_obs. *)
-let mismatches = ref 0
-let cross_check_mismatches () = !mismatches
-let reset_cross_check_mismatches () = mismatches := 0
+   can assert zero without enabling Qp_obs. Atomic: Check-mode solves
+   run on pool workers. *)
+let mismatches = Atomic.make 0
+let cross_check_mismatches () = Atomic.get mismatches
+let reset_cross_check_mismatches () = Atomic.set mismatches 0
 
 (* Warm starts can be disabled globally (QP_LP_WARMSTART=off or
    set_warm_starts false): every resolve then runs the cold path, which
@@ -126,6 +127,14 @@ let mk_diagnostics ~pivots ~phase1_pivots ~degenerate ~bland ~detail =
     bland_engaged = bland;
     detail;
   }
+
+(* Stage timing for the [simplex.*] histograms (FTRAN, BTRAN, pricing,
+   ratio test, reinversion): the clock is read only while tracing is
+   on, so an untraced solve pays one atomic load per stage. *)
+let tick () = if Qp_obs.enabled () then Qp_obs.now_ns () else 0
+
+let tock label t0 =
+  if t0 <> 0 then Qp_obs.observe_ns label (Qp_obs.now_ns () - t0)
 
 let bland_cutoff ~stall_threshold ~nrows ~nvars =
   if stall_threshold = max_int then max_int
@@ -518,14 +527,20 @@ module Revised_engine = struct
   let phase_cost st ~phase1 j =
     if phase1 then if j >= st.art_first then -1.0 else 0.0 else st.cost2.(j)
 
-  (* y := c_B B^-1 for the current phase's objective. *)
-  let compute_duals st ~phase1 =
+  (* y := c_B, the right-hand side of the dual BTRAN. *)
+  let load_costs st ~phase1 =
     zero st.y;
     for i = 0 to st.nrows - 1 do
       let cb = phase_cost st ~phase1 st.basis.(i) in
       if cb <> 0.0 then st.y.(i) <- cb
-    done;
-    Basis.btran st.bas st.y
+    done
+
+  (* y := c_B B^-1 for the current phase's objective. *)
+  let compute_duals st ~phase1 =
+    load_costs st ~phase1;
+    let t0 = tick () in
+    Basis.btran st.bas st.y;
+    tock "simplex.btran" t0
 
   let reduced_cost st ~phase1 j =
     phase_cost st ~phase1 j -. Sparse.dot st.cols.(j) st.y
@@ -535,8 +550,7 @@ module Revised_engine = struct
      positive reduced cost (first index on ties), Bland the smallest
      eligible index. Basic columns price to exactly zero and are
      skipped. *)
-  let entering st ~phase1 ~allowed ~etol =
-    compute_duals st ~phase1;
+  let price st ~phase1 ~allowed ~etol =
     if st.bland then begin
       let found = ref (-1) and rc = ref 0.0 in
       (try
@@ -567,13 +581,26 @@ module Revised_engine = struct
       (!best, !best_val)
     end
 
+  let entering st ~phase1 ~allowed ~etol =
+    compute_duals st ~phase1;
+    let t0 = tick () in
+    let choice = price st ~phase1 ~allowed ~etol in
+    tock "simplex.pricing" t0;
+    choice
+
   (* d := B^-1 A_j (dense scratch). *)
   let ftran_col st j =
     zero st.d;
     Sparse.scatter st.cols.(j) st.d;
     Basis.ftran st.bas st.d
 
+  let timed_ftran_col st j =
+    let t0 = tick () in
+    ftran_col st j;
+    tock "simplex.ftran" t0
+
   let leaving st =
+    let t0 = tick () in
     let best = ref (-1) and best_ratio = ref infinity in
     for i = 0 to st.nrows - 1 do
       let a = st.d.(i) in
@@ -590,6 +617,7 @@ module Revised_engine = struct
         end
       end
     done;
+    tock "simplex.ratio_test" t0;
     !best
 
   let pivot st ~r ~q ~rc =
@@ -618,6 +646,7 @@ module Revised_engine = struct
      incremental updates accumulate. Returns false on a numerically
      singular basis. *)
   let refactorize st ~phase1 =
+    let t0 = tick () in
     Basis.reset st.bas;
     let order = Array.init st.nrows Fun.id in
     Array.sort
@@ -666,6 +695,7 @@ module Revised_engine = struct
       st.refactors <- st.refactors + 1;
       Qp_obs.counter "simplex.refactorizations" 1
     end;
+    tock "simplex.reinvert" t0;
     !ok
 
   let run_phase st ~phase1 ~allowed ~etol =
@@ -704,7 +734,7 @@ module Revised_engine = struct
           let q, rc = entering st ~phase1 ~allowed ~etol in
           if q < 0 then Phase_optimal
           else begin
-            ftran_col st q;
+            timed_ftran_col st q;
             let r = leaving st in
             if r < 0 then Phase_unbounded
             else begin
@@ -998,6 +1028,7 @@ module Revised_engine = struct
         && not (refactorize st ~phase1:false)
       then Phase_numerical "singular basis at refactorization"
       else begin
+        let t0 = tick () in
         let r = ref (-1) and worst = ref (-.st.tol.Tolerance.feasibility) in
         for i = 0 to st.nrows - 1 do
           if st.xb.(i) < !worst then begin
@@ -1005,15 +1036,20 @@ module Revised_engine = struct
             worst := st.xb.(i)
           end
         done;
+        tock "simplex.pricing" t0;
         if !r < 0 then Phase_optimal
         else begin
           let r = !r in
-          (* rho := e_r B^-1; alpha_j = rho . A_j is the pivot-row entry
-             of column j, read one sparse column at a time. *)
+          (* rho := e_r B^-1 and y := c_B B^-1 in one walk of the eta
+             file; alpha_j = rho . A_j is the pivot-row entry of column
+             j, read one sparse column at a time. *)
           zero rho;
           rho.(r) <- 1.0;
-          Basis.btran st.bas rho;
-          compute_duals st ~phase1:false;
+          load_costs st ~phase1:false;
+          let t0 = tick () in
+          Basis.btran2 st.bas rho st.y;
+          tock "simplex.btran" t0;
+          let t0 = tick () in
           let q = ref (-1) and best = ref infinity and q_rc = ref 0.0 in
           for j = 0 to st.ncols - 1 do
             if (not st.in_basis.(j)) && j < st.art_first then begin
@@ -1029,9 +1065,10 @@ module Revised_engine = struct
               end
             end
           done;
+          tock "simplex.ratio_test" t0;
           if !q < 0 then Phase_unbounded
           else begin
-            ftran_col st !q;
+            timed_ftran_col st !q;
             if Float.abs st.d.(r) <= st.tol.Tolerance.pivot then
               Phase_numerical "vanishing dual pivot"
             else begin
@@ -1157,7 +1194,9 @@ module Revised_engine = struct
             st.b.(i) <- st.sign.(i) *. rhs.(i)
           done;
           Array.blit st.b 0 st.xb 0 st.nrows;
+          let t0 = tick () in
           Basis.ftran st.bas st.xb;
+          tock "simplex.ftran" t0;
           recompute_obj st;
           let feasible = ref true in
           for i = 0 to st.nrows - 1 do
@@ -1286,7 +1325,7 @@ let solve ?engine ?(max_pivots = 50_000) ?(stall_threshold = 1024)
           match cross_check ~rows revised dense with
           | None -> ()
           | Some detail ->
-              incr mismatches;
+              Atomic.incr mismatches;
               Qp_obs.counter "simplex.cross_check_mismatch" 1;
               Qp_obs.event "simplex.cross_check_mismatch"
                 ~args:(fun () -> [ ("detail", Qp_obs.Str detail) ])
@@ -1455,7 +1494,7 @@ let resolve ?engine ?c ?rhs fam =
     match cross_check ~rows outcome dense with
     | None -> ()
     | Some detail ->
-        incr mismatches;
+        Atomic.incr mismatches;
         Qp_obs.counter "simplex.cross_check_mismatch" 1;
         Qp_obs.event "simplex.cross_check_mismatch"
           ~args:(fun () -> [ ("detail", Qp_obs.Str detail) ])

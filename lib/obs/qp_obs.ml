@@ -7,7 +7,12 @@
    applies to results. The *structure* of the trace (span labels,
    nesting, order, args, counters, gauges) is therefore a pure function
    of the work, independent of QP_JOBS; only timestamps vary from run
-   to run. *)
+   to run.
+
+   A spliced buffer is kept as one [Lane] event rather than flattened:
+   its spans ran on some worker, concurrently with its sibling tasks, so
+   the Chrome export writes each lane on its own thread id (numbered in
+   splice order, hence deterministically) with its real timestamps. *)
 
 type arg =
   | Int of int
@@ -19,6 +24,7 @@ type ev =
   | Span_begin of { label : string; args : (string * arg) list; ts : float }
   | Span_end of { ts : float; args : (string * arg) list }
   | Instant of { label : string; args : (string * arg) list; ts : float }
+  | Lane of ev list  (* a spliced task buffer, newest first *)
 
 type buf = { mutable events : ev list (* newest first *) }
 
@@ -34,10 +40,13 @@ type dstate = {
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 
-(* Trace epoch: timestamps are seconds since [set_enabled true] /
-   [reset], exported as microseconds. *)
+(* One monotonic clock for spans, histograms and out-of-band stage
+   timings. Trace epoch: timestamps are seconds since
+   [set_enabled true] / [reset], exported as microseconds. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+let clock_s () = Float.of_int (now_ns ()) *. 1e-9
 let epoch = ref 0.0
-let now () = Unix.gettimeofday () -. !epoch
+let now () = clock_s () -. !epoch
 
 let dls : dstate Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { cur = { events = [] }; pending = [] })
@@ -197,7 +206,7 @@ let hist_observe label ~ns ~gc_minor ~gc_major =
   Mutex.unlock metrics_mu
 
 let set_enabled on =
-  if on && not (enabled ()) then epoch := Unix.gettimeofday ();
+  if on && not (enabled ()) then epoch := clock_s ();
   Atomic.set enabled_flag on
 
 let reset () =
@@ -209,7 +218,7 @@ let reset () =
   Hashtbl.reset gauges_tbl;
   Hashtbl.reset hist_tbl;
   Mutex.unlock metrics_mu;
-  epoch := Unix.gettimeofday ()
+  epoch := clock_s ()
 
 (* Duration and GC-delta recording live outside the trace buffer on
    purpose: wall time and promoted-word counts are timing-dependent, so
@@ -300,17 +309,27 @@ let capture f =
 let splice b =
   if enabled () && b.events <> [] then begin
     let st = state () in
-    st.cur.events <- b.events @ st.cur.events
+    st.cur.events <- Lane b.events :: st.cur.events
   end
 
 (* --- introspection ---------------------------------------------------- *)
 
-let events_chronological () = List.rev (state ()).cur.events
+(* [f] sees every event in recording order; a lane is entered where it
+   was spliced, bracketed by [on_lane]'s enter/leave calls. *)
+let rec walk ?(on_lane = fun _ -> ()) f events =
+  List.iter
+    (function
+      | Lane inner ->
+          on_lane `Enter;
+          walk ~on_lane f inner;
+          on_lane `Leave
+      | ev -> f ev)
+    (List.rev events)
 
 let span_count () =
-  List.fold_left
-    (fun acc ev -> match ev with Span_begin _ -> acc + 1 | _ -> acc)
-    0 (state ()).cur.events
+  let n = ref 0 in
+  walk (function Span_begin _ -> incr n | _ -> ()) (state ()).cur.events;
+  !n
 
 let counters () =
   Mutex.lock metrics_mu;
@@ -346,7 +365,7 @@ let structure () =
   let indent () = String.make (2 * !depth) ' ' in
   (* Span_end args belong to the span just closed; re-print them on the
      closing line only when non-empty so quiet spans stay one line. *)
-  List.iter
+  walk
     (fun ev ->
       match ev with
       | Span_begin { label; args; _ } ->
@@ -364,8 +383,9 @@ let structure () =
       | Instant { label; args; _ } ->
           Buffer.add_string b
             (Printf.sprintf "%sevent %s%s\n" (indent ()) label
-               (match args with [] -> "" | l -> " [" ^ args_to_string l ^ "]")))
-    (events_chronological ());
+               (match args with [] -> "" | l -> " [" ^ args_to_string l ^ "]"))
+      | Lane _ -> ())
+    (state ()).cur.events;
   List.iter
     (fun (k, v) -> Buffer.add_string b (Printf.sprintf "counter %s = %d\n" k v))
     (counters ());
@@ -412,35 +432,51 @@ let to_chrome_lines () =
   let push l = lines := l :: !lines in
   push
     "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"qpricing\"}}";
-  (* Spliced worker events carry wall-clock stamps that can run behind
-     the caller's; clamping to a monotone sequence keeps the merged
-     timeline well-formed for chrome://tracing without changing the
-     (deterministic) structure. *)
-  let last = ref 0.0 in
-  let mono ts =
-    let ts = Float.max ts !last in
-    last := ts;
+  (* The caller's events are on tid 1; each spliced lane gets the next
+     tid in walk order and a thread_name record naming its parent lane,
+     which is how Qp_obs_report charges a lane's spans to the span that
+     spawned it. Timestamps are the real ones: spans of concurrent
+     tasks overlap. *)
+  let lanes = ref [ 1 ] and next_tid = ref 2 and last = ref 0.0 in
+  let span_labels = Hashtbl.create 64 in
+  let tid () = List.hd !lanes in
+  let us ts =
+    last := Float.max !last ts;
     ts *. 1e6
   in
-  List.iter
+  let on_lane = function
+    | `Enter ->
+        let parent = tid () in
+        let t = !next_tid in
+        incr next_tid;
+        lanes := t :: !lanes;
+        push
+          (Printf.sprintf
+             "{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"lane %d\",\"parent\":%d}}"
+             t t parent)
+    | `Leave -> lanes := List.tl !lanes
+  in
+  walk ~on_lane
     (fun ev ->
       match ev with
       | Span_begin { label; args; ts } ->
+          Hashtbl.replace span_labels label ();
           push
             (Printf.sprintf
-               "{\"ph\":\"B\",\"pid\":1,\"tid\":1,\"ts\":%.3f,\"name\":\"%s\",\"args\":%s}"
-               (mono ts) (json_escape label) (args_json args))
+               "{\"ph\":\"B\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"name\":\"%s\",\"args\":%s}"
+               (tid ()) (us ts) (json_escape label) (args_json args))
       | Span_end { ts; args } ->
           push
             (Printf.sprintf
-               "{\"ph\":\"E\",\"pid\":1,\"tid\":1,\"ts\":%.3f,\"args\":%s}"
-               (mono ts) (args_json args))
+               "{\"ph\":\"E\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"args\":%s}"
+               (tid ()) (us ts) (args_json args))
       | Instant { label; args; ts } ->
           push
             (Printf.sprintf
-               "{\"ph\":\"i\",\"pid\":1,\"tid\":1,\"ts\":%.3f,\"s\":\"t\",\"name\":\"%s\",\"args\":%s}"
-               (mono ts) (json_escape label) (args_json args)))
-    (events_chronological ());
+               "{\"ph\":\"i\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"s\":\"t\",\"name\":\"%s\",\"args\":%s}"
+               (tid ()) (us ts) (json_escape label) (args_json args))
+      | Lane _ -> ())
+    (state ()).cur.events;
   let final = !last *. 1e6 in
   List.iter
     (fun (k, v) ->
@@ -459,6 +495,18 @@ let to_chrome_lines () =
            "{\"ph\":\"C\",\"pid\":1,\"tid\":1,\"ts\":%.3f,\"name\":\"%s\",\"args\":{\"value\":%.17g,\"kind\":\"gauge\"}}"
            final (json_escape k) v))
     (gauges ());
+  (* Histograms fed only by [observe_ns] (span labels' histograms repeat
+     the span records) travel as "C" samples of their count, tagged
+     kind=histogram with the nanosecond summary alongside. *)
+  List.iter
+    (fun (k, (h : Hist.snapshot)) ->
+      if h.count > 0 && not (Hashtbl.mem span_labels k) then
+        push
+          (Printf.sprintf
+             "{\"ph\":\"C\",\"pid\":1,\"tid\":1,\"ts\":%.3f,\"name\":\"%s\",\"args\":{\"value\":%d,\"kind\":\"histogram\",\"sum_ns\":%d,\"max_ns\":%d,\"p50_ns\":%.0f,\"p95_ns\":%.0f}}"
+             final (json_escape k) h.count h.sum_ns h.max_ns
+             (Hist.quantile_ns h 50.0) (Hist.quantile_ns h 95.0)))
+    (histograms ());
   List.rev !lines
 
 let write_chrome_trace path =

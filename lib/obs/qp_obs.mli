@@ -137,6 +137,11 @@ module Hist : sig
       for an empty snapshot. *)
 end
 
+val now_ns : unit -> int
+(** The monotonic clock every span timestamp and histogram reads, in
+    nanoseconds from an arbitrary origin — for stage timings measured
+    out of band and recorded with {!observe_ns}. *)
+
 val observe_ns : string -> int -> unit
 (** [observe_ns label ns] records one observation into [label]'s global
     histogram without opening a span — for durations measured out of
@@ -168,7 +173,9 @@ val capture : (unit -> 'a) -> 'a * buf
 val splice : buf -> unit
 (** Append a captured block to the current domain's trace, as if its
     events had been recorded here, in their original order. Splice
-    blocks in task index order to keep the trace deterministic. *)
+    blocks in task index order to keep the trace deterministic. The
+    block stays a {e lane}: {!to_chrome_lines} writes it on its own
+    thread id. *)
 
 (** {2 Introspection and export} *)
 
@@ -191,9 +198,15 @@ val structure : unit -> string
 val to_chrome_lines : unit -> string list
 (** The trace as Chrome trace-event JSON, one complete JSON object per
     line (JSONL): a process-name metadata record, then ["B"]/["E"] span
-    records, ["i"] instants, and final ["C"] counter samples for every
-    counter and gauge. Timestamps are microseconds since the epoch,
-    clamped to be monotone so spliced worker events render well. *)
+    records and ["i"] instants, and final ["C"] samples for every
+    counter, gauge (tagged [kind=gauge]) and {!observe_ns}-only
+    histogram (tagged [kind=histogram], with [sum_ns], [max_ns],
+    [p50_ns], [p95_ns]). The caller's events are on [tid] 1;
+    each {!splice}d block is a lane on the next [tid] in recording
+    order, announced by a ["thread_name"] metadata record whose
+    [parent] arg is the lane it was spliced into. Timestamps are the
+    recorded ones, microseconds since the epoch: spans of concurrent
+    tasks overlap across lanes. *)
 
 val write_chrome_trace : string -> unit
 (** Write {!to_chrome_lines} to a file, one event per line. See

@@ -215,10 +215,20 @@ type span_stat = {
   durations_us : float array;  (* one inclusive duration per span *)
 }
 
+type hist_stat = {
+  hcount : int;
+  sum_ns : float;
+  max_ns : float;
+  p50_ns : float;
+  p95_ns : float;
+}
+
 type t = {
   spans : span_stat list;  (* first-seen order *)
   counters : (string * float) list;  (* final "C" samples, label order *)
   gauges : (string * float) list;  (* "C" samples tagged kind=gauge *)
+  histograms : (string * hist_stat) list;
+      (* "C" samples tagged kind=histogram, label order *)
   events : (string * int) list;  (* instant-event counts, label order *)
   reasons : (string * string * int) list;
       (* instant events carrying a "reason" arg: (label, reason, count),
@@ -243,7 +253,18 @@ let aggregate lines =
   let reason_order = ref [] in
   let counters = ref [] in
   let gauges = ref [] in
-  let stack = ref [] in
+  let histograms = ref [] in
+  (* One open-span stack per lane (tid), and each lane's parent lane
+     from its thread_name record: a lane's outermost span is a child of
+     whatever span was open on the lane it was spliced into. *)
+  let stacks : (int, open_span list) Hashtbl.t = Hashtbl.create 16 in
+  let parent_lane : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let stack tid = Option.value (Hashtbl.find_opt stacks tid) ~default:[] in
+  let rec enclosing tid =
+    match stack tid with
+    | top :: _ -> Some top
+    | [] -> Option.bind (Hashtbl.find_opt parent_lane tid) enclosing
+  in
   let last_ts = ref 0.0 in
   let saw_record = ref false in
   let record label dur =
@@ -297,26 +318,30 @@ let aggregate lines =
         (match num_field "ts" j with
         | Some f -> last_ts := Float.max !last_ts f
         | None -> ());
+        let tid =
+          match num_field "tid" j with Some f -> Float.to_int f | None -> 1
+        in
         match string_field "ph" j with
         | Some "B" ->
             let ts = strict_ts () in
             saw_record := true;
             let label = Option.value (string_field "name" j) ~default:"?" in
-            stack := { olabel = label; ots = ts; children_us = 0.0 } :: !stack
+            Hashtbl.replace stacks tid
+              ({ olabel = label; ots = ts; children_us = 0.0 } :: stack tid)
         | Some "E" -> (
             let ts = strict_ts () in
             saw_record := true;
-            match !stack with
+            match stack tid with
             | [] -> ()  (* unbalanced: ignore rather than fail *)
             | top :: rest ->
                 let dur = Float.max 0.0 (ts -. top.ots) in
                 record top.olabel dur;
-                (match rest with
-                | parent :: _ -> parent.children_us <- parent.children_us +. dur
-                | [] -> ());
+                Hashtbl.replace stacks tid rest;
+                (match enclosing tid with
+                | Some parent -> parent.children_us <- parent.children_us +. dur
+                | None -> ());
                 (* children time is subtracted from this span's self *)
-                subtract_child top.olabel top.children_us;
-                stack := rest)
+                subtract_child top.olabel top.children_us)
         | Some "X" -> (
             (* complete events: duration carried inline *)
             saw_record := true;
@@ -349,15 +374,29 @@ let aggregate lines =
             | Some args -> (
                 match num_field "value" args with
                 | Some v ->
-                    let dst =
-                      match string_field "kind" args with
-                      | Some "gauge" -> gauges
-                      | _ -> counters
-                    in
-                    dst := (label, v) :: List.remove_assoc label !dst
+                    let ns key = Option.value (num_field key args) ~default:0.0 in
+                    (match string_field "kind" args with
+                    | Some "histogram" ->
+                        let h =
+                          {
+                            hcount = Float.to_int v;
+                            sum_ns = ns "sum_ns";
+                            max_ns = ns "max_ns";
+                            p50_ns = ns "p50_ns";
+                            p95_ns = ns "p95_ns";
+                          }
+                        in
+                        histograms := (label, h) :: List.remove_assoc label !histograms
+                    | kind ->
+                        let dst = if kind = Some "gauge" then gauges else counters in
+                        dst := (label, v) :: List.remove_assoc label !dst)
                 | None -> ())
             | None -> ())
-        | Some "M" -> saw_record := true
+        | Some "M" ->
+            saw_record := true;
+            (match Option.bind (field "args" j) (num_field "parent") with
+            | Some p -> Hashtbl.replace parent_lane tid (Float.to_int p)
+            | None -> ())
         | Some _ -> saw_record := true
         | None -> bad "missing \"ph\""
       end)
@@ -380,6 +419,7 @@ let aggregate lines =
     spans;
     counters = List.sort compare !counters;
     gauges = List.sort compare !gauges;
+    histograms = List.sort (fun (a, _) (b, _) -> String.compare a b) !histograms;
     events =
       List.rev_map
         (fun label -> (label, Hashtbl.find instants label))
@@ -409,6 +449,7 @@ let of_file path =
 let spans t = t.spans
 let counters t = t.counters
 let gauges t = t.gauges
+let histograms t = t.histograms
 let event_reasons t = t.reasons
 
 (* --- rendering --------------------------------------------------------- *)
@@ -491,6 +532,24 @@ let render t =
                  else Printf.sprintf "%g" v);
               ])
             t.gauges))
+  end;
+  if t.histograms <> [] then begin
+    let us ns = Printf.sprintf "%.1f" (ns /. 1000.0) in
+    Buffer.add_string b "\nstage histograms (out-of-band timings):\n";
+    Buffer.add_string b
+      (Qp_util.Text_table.render
+         ~header:[ "stage"; "count"; "total ms"; "p50 us"; "p95 us"; "max us" ]
+         (List.map
+            (fun (k, h) ->
+              [
+                k;
+                string_of_int h.hcount;
+                Printf.sprintf "%.3f" (h.sum_ns /. 1e6);
+                us h.p50_ns;
+                us h.p95_ns;
+                us h.max_ns;
+              ])
+            t.histograms))
   end;
   if t.events <> [] then begin
     Buffer.add_string b "\ninstant events:\n";

@@ -72,6 +72,20 @@ val gauges : t -> (string * float) list
     {!Qp_obs.to_chrome_lines}), sorted by label. Traces written before
     the tag existed report their gauges under {!counters}. *)
 
+(** Summary of one {!Qp_obs.observe_ns} histogram, as exported in the
+    trace's [kind=histogram] samples. Nanoseconds. *)
+type hist_stat = {
+  hcount : int;  (** observations *)
+  sum_ns : float;  (** total duration *)
+  max_ns : float;  (** longest observation *)
+  p50_ns : float;  (** bucket-interpolated median *)
+  p95_ns : float;  (** bucket-interpolated 95th percentile *)
+}
+
+val histograms : t -> (string * hist_stat) list
+(** Out-of-band stage histograms (e.g. [simplex.btran]), sorted by
+    label. *)
+
 val event_reasons : t -> (string * string * int) list
 (** Instant events that carry a string ["reason"] arg, counted per
     [(label, reason)] in first-seen order — e.g. how many

@@ -71,6 +71,43 @@ let test_runner_deterministic () =
   in
   Alcotest.(check bool) "same normalized revenues" true (run () = run ())
 
+(* The cell's algorithms run as one pool fan-out; at any job count the
+   cell must measure the same revenues bit-for-bit and leave the same
+   trace structure (seconds excepted: they are wall time). *)
+let test_runner_fan_out_job_count_invariant () =
+  let measure jobs inst =
+    Qp_obs.set_enabled true;
+    Qp_obs.reset ();
+    Fun.protect
+      ~finally:(fun () ->
+        Qp_obs.set_enabled false;
+        Qp_obs.reset ())
+    @@ fun () ->
+    let cell =
+      Runner.run_cell ~jobs ~profile:Runner.Quick ~seed:42 (V.Uniform_val 100.0)
+        inst
+    in
+    ( List.map
+        (fun (m : Runner.measurement) ->
+          ( m.algorithm,
+            Int64.bits_of_float m.revenue,
+            Int64.bits_of_float m.normalized,
+            m.degraded ))
+        cell.Runner.measurements,
+      Int64.bits_of_float cell.Runner.subadditive,
+      Qp_obs.structure () )
+  in
+  List.iter
+    (fun (name, inst) ->
+      let m1, b1, s1 = measure 1 inst and m2, b2, s2 = measure 2 inst in
+      Alcotest.(check bool) (name ^ ": measurements bit-equal") true (m1 = m2);
+      Alcotest.(check bool) (name ^ ": bound bit-equal") true (b1 = b2);
+      Alcotest.(check string) (name ^ ": trace structure") s1 s2)
+    [
+      ("ssb", WI.ssb ~scale:WI.Tiny ~seed:42 ());
+      ("skewed", WI.skewed ~scale:WI.Tiny ~seed:42 ());
+    ]
+
 let test_cell_table_renders () =
   let inst = Lazy.force tiny in
   let cell =
@@ -134,6 +171,8 @@ let suite =
       t "rebuild with support" test_rebuild_with_support;
       t "runner cell invariants" test_runner_cell;
       t "runner deterministic" test_runner_deterministic;
+      t "runner fan-out bit-identical at jobs=1 and jobs=2"
+        test_runner_fan_out_job_count_invariant;
       t "cell table renders" test_cell_table_renders;
       t "registry ids unique" test_registry_unique_ids;
       t "profile from env" test_profile_of_env;

@@ -171,6 +171,90 @@ let test_report_round_trip () =
       Alcotest.(check bool) "table mentions self ms" true
         (contains rendered "self ms")
 
+(* Spliced task buffers are written on lanes of their own, with their
+   real timestamps: two tasks that ran side by side on the pool each
+   report at least the time they really took, and the structure is
+   still that of the sequential run. *)
+let test_lanes_keep_real_durations () =
+  let path = Filename.temp_file "qp_obs_lanes" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let busy jobs =
+    with_tracing @@ fun () ->
+    let measured =
+      Qp_util.Parallel.map ~jobs
+        (fun i ->
+          Obs.with_span "test.busy"
+            ~args:(fun () -> [ ("task", Obs.Int i) ])
+            (fun () ->
+              let t0 = Qp_util.Timing.now_s () in
+              while Qp_util.Timing.now_s () -. t0 < 0.05 do
+                ()
+              done;
+              Qp_util.Timing.now_s () -. t0))
+        [| 0; 1 |]
+    in
+    Obs.write_chrome_trace path;
+    (Obs.structure (), measured)
+  in
+  let sequential, _ = busy 1 in
+  let concurrent, measured = busy 2 in
+  Alcotest.(check string) "structure identical at jobs=1 and jobs=2" sequential
+    concurrent;
+  match Report.of_file path with
+  | Error msg -> Alcotest.failf "report failed to parse trace: %s" msg
+  | Ok t -> (
+      match List.find_opt (fun s -> s.Report.label = "test.busy") (Report.spans t) with
+      | None -> Alcotest.fail "no test.busy spans in the report"
+      | Some s ->
+          Alcotest.(check int) "two busy spans" 2 s.Report.count;
+          Array.iteri
+            (fun i us ->
+              (* the exported stamps are rounded to 1 ns *)
+              if us < (measured.(i) *. 1e6) -. 0.01 then
+                Alcotest.failf "task %d reports %.1f us, ran %.1f us" i us
+                  (measured.(i) *. 1e6))
+            s.Report.durations_us)
+
+(* The revised engine's stage timings land in out-of-band histograms —
+   counted per pivot, never in span args — and the report prints
+   them. *)
+let test_simplex_stage_histograms () =
+  let path = Filename.temp_file "qp_obs_stages" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let c = [| 3.0; 2.0; 4.0 |]
+  and rows =
+    [| ([| 1.0; 1.0; 2.0 |], 4.0); ([| 2.0; 0.0; 3.0 |], 5.0);
+       ([| 2.0; 1.0; 3.0 |], 7.0); ([| -1.0; -1.0; -1.0 |], -1.0) |]
+  in
+  let stages =
+    [ "simplex.btran"; "simplex.ftran"; "simplex.pricing"; "simplex.ratio_test";
+      "simplex.reinvert" ]
+  in
+  Obs.set_enabled false;
+  Obs.reset ();
+  ignore (Qp_lp.Simplex.solve ~engine:Qp_lp.Simplex.Revised ~refactor_every:1 ~c ~rows ());
+  Alcotest.(check bool) "untraced solve records no histogram" true
+    (Obs.histograms () = []);
+  with_tracing @@ fun () ->
+  ignore (Qp_lp.Simplex.solve ~engine:Qp_lp.Simplex.Revised ~refactor_every:1 ~c ~rows ());
+  let hists = Obs.histograms () in
+  List.iter
+    (fun label ->
+      match List.assoc_opt label hists with
+      | Some h when h.Obs.Hist.count > 0 -> ()
+      | _ -> Alcotest.failf "no %s observations" label)
+    stages;
+  Alcotest.(check bool) "stages stay out of the structure" false
+    (List.exists (fun l -> contains (Obs.structure ()) l) stages);
+  Obs.write_chrome_trace path;
+  match Report.of_file path with
+  | Error msg -> Alcotest.failf "report failed to parse trace: %s" msg
+  | Ok t ->
+      Alcotest.(check (list string)) "report reads every stage" stages
+        (List.map fst (Report.histograms t));
+      Alcotest.(check bool) "render shows the stage table" true
+        (contains (Report.render t) "stage histograms")
+
 (* --- latency histograms ----------------------------------------------- *)
 
 let test_hist_bucketing () =
@@ -395,6 +479,9 @@ let suite =
       t "cell trace attributes the bound and revenue evaluation"
         test_cell_attributes_bound_and_revenue;
       t "trace file → report round trip" test_report_round_trip;
+      t "spliced tasks keep their real durations on their own lanes"
+        test_lanes_keep_real_durations;
+      t "simplex stage histograms reach the report" test_simplex_stage_histograms;
       t "histogram bucketing and merge" test_hist_bucketing;
       t "quantiles monotone and clamped" test_quantiles_monotone_and_clamped;
       t "spans populate per-label histograms" test_spans_populate_histograms;

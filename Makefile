@@ -3,8 +3,8 @@
 .PHONY: all build test chaos soak bench bench-full bench-json bench-conflict \
         bench-simplex bench-warmstart bench-serve docs check-docs \
         check-failwith check-float-sort check-cold-lp check-obs-labels \
-        check-snapshot-version check-rel-engines check-lp-engines serve-smoke \
-        bench-gate perfbench-smoke check examples clean
+        check-snapshot-version check-rel-engines check-lp-engines check-clock \
+        serve-smoke bench-gate perfbench-smoke check examples clean
 
 all: build
 
@@ -87,9 +87,14 @@ check-rel-engines:
 # --lp-engine check — every LP the cell solves (the cell's algorithms
 # fanned out over the pool, warm-started sweeps included) is re-solved
 # on the dense tableau oracle — and fail on any engine disagreement.
+# First, a misspelt QP_LP_WARMSTART must abort with exit code 2 rather
+# than silently leave warm starts on.
 LP_CHECK_WORKLOADS = skewed uniform tpch ssb
 check-lp-engines:
 	dune build bin/qpricing.exe
+	@QP_LP_WARMSTART=of _build/default/bin/qpricing.exe run skewed --scale tiny >/dev/null 2>&1; \
+	  rc=$$?; [ $$rc -eq 2 ] || { echo "check-lp-engines: QP_LP_WARMSTART=of exited $$rc, want 2"; exit 1; }; \
+	  echo "check-lp-engines: QP_LP_WARMSTART=of rejected"
 	@for w in $(LP_CHECK_WORKLOADS); do \
 	  out=$$(_build/default/bin/qpricing.exe run $$w --scale tiny -j 2 --lp-engine check 2>&1) \
 	    || { echo "$$out"; echo "check-lp-engines: $$w failed"; exit 1; }; \
@@ -98,6 +103,13 @@ check-lp-engines:
 	  fi; \
 	  echo "check-lp-engines: $$w ok"; \
 	done
+
+# One clock: every duration in lib, bin and bench is read from the
+# monotonic Qp_util.Timing (or Qp_obs.now_ns), never the wall clock.
+check-clock:
+	@if grep -rn --include='*.ml' --include='*.mli' 'Unix.gettimeofday' lib bin bench; then \
+	  echo "check-clock: use Qp_util.Timing.now_s / Timing.time, not Unix.gettimeofday"; exit 1; \
+	fi; echo "check-clock: ok"
 
 # Stand a broker on a temp socket, pull 20 quotes through it, and
 # require each to be bit-identical to the in-process pricing — the
@@ -140,7 +152,7 @@ perfbench-smoke:
 
 # The full pre-merge gate: build, tests, doc coverage, failure lints,
 # serving smoke, benchmark self-test, perf-regression gate.
-check: build test check-docs check-failwith check-float-sort check-cold-lp check-obs-labels check-snapshot-version check-rel-engines check-lp-engines serve-smoke perfbench-smoke bench-gate
+check: build test check-docs check-failwith check-float-sort check-cold-lp check-obs-labels check-snapshot-version check-rel-engines check-lp-engines check-clock serve-smoke perfbench-smoke bench-gate
 
 # Regenerate every table and figure of the paper (Quick profile).
 bench:

@@ -30,6 +30,7 @@ module WI = Qp_experiments.Workload_instances
 module H = Qp_core.Hypergraph
 module V = Qp_workloads.Valuations
 module Rng = Qp_util.Rng
+module Timing = Qp_util.Timing
 
 (* --- run metadata for BENCH_*.json ----------------------------------- *)
 
@@ -96,10 +97,8 @@ let run_experiments ctx entries =
       Format.fprintf fmt "@.==================================================@.";
       Format.fprintf fmt "== %s (%s)@." e.title e.id;
       Format.fprintf fmt "==================================================@.";
-      let t0 = Unix.gettimeofday () in
-      e.run fmt ctx;
-      Format.fprintf fmt "[%s completed in %.1fs]@." e.id
-        (Unix.gettimeofday () -. t0))
+      let (), seconds = Timing.time (fun () -> e.run fmt ctx) in
+      Format.fprintf fmt "[%s completed in %.1fs]@." e.id seconds)
     entries
 
 (* --- bechamel micro-benchmarks -------------------------------------- *)
@@ -121,7 +120,9 @@ let microbenchmarks ctx =
   let simplex_input =
     ( Array.init 30 (fun i -> Float.of_int (1 + (i mod 7))),
       Array.init 40 (fun i ->
-          (Array.init 30 (fun j -> Float.of_int ((i + j) mod 5)), 50.0)) )
+          ( Qp_lp.Sparse.of_dense
+              (Array.init 30 (fun j -> Float.of_int ((i + j) mod 5))),
+            50.0 )) )
   in
   let ubp_pricing = Qp_core.Ubp.solve h in
   let tests =
@@ -278,10 +279,7 @@ let conflict_bench ~meta ctx =
 
 (* --- parallel-layer benchmark --------------------------------------- *)
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  ignore (Sys.opaque_identity (f ()));
-  Unix.gettimeofday () -. t0
+let time f = snd (Timing.time (fun () -> ignore (Sys.opaque_identity (f ()))))
 
 let parallel_bench ~meta ctx =
   let module Runner = Qp_experiments.Runner in
@@ -378,7 +376,7 @@ let simplex_bench ~meta () =
             (a, Float.of_int (10 + Random.State.int rand 40))
           end)
     in
-    (c, rows)
+    (c, Array.map (fun (a, b) -> (Qp_lp.Sparse.of_dense a, b)) rows)
   in
   let objective = function
     | Simplex.Optimal s -> s.Simplex.objective
@@ -398,12 +396,12 @@ let simplex_bench ~meta () =
         let reps = max 1 (20_000_000 / (n * n * n)) in
         let run engine =
           ignore (Sys.opaque_identity (Simplex.solve ~engine ~c ~rows ()));
-          let t0 = Unix.gettimeofday () in
+          let t0 = Timing.now_s () in
           let outcome = ref Simplex.Unbounded in
           for _ = 1 to reps do
             outcome := Simplex.solve ~engine ~c ~rows ()
           done;
-          ((Unix.gettimeofday () -. t0) /. Float.of_int reps, !outcome)
+          ((Timing.now_s () -. t0) /. Float.of_int reps, !outcome)
         in
         let td, dense = run Simplex.Dense in
         let tr, revised = run Simplex.Revised in
@@ -603,12 +601,12 @@ let serve_bench ~meta ctx =
   print_endline "== serving throughput: qpricing serve under load";
   print_endline "==================================================";
   let inst = Context.instance ctx "skewed" in
-  let t0 = Unix.gettimeofday () in
-  let broker =
-    SB.of_instance ~profile:(Context.profile ctx) ~model:(V.Uniform_val 100.0)
-      ~pricing:"lpip" ~seed:(Context.seed ctx) inst
+  let broker, precompute =
+    Timing.time (fun () ->
+        SB.of_instance ~profile:(Context.profile ctx)
+          ~model:(V.Uniform_val 100.0) ~pricing:"lpip" ~seed:(Context.seed ctx)
+          inst)
   in
-  let precompute = Unix.gettimeofday () -. t0 in
   let n = SB.queries broker in
   Printf.printf "  broker up: %d queries, %d items, precompute %.2fs\n%!" n
     (SB.items broker) precompute;
@@ -625,15 +623,15 @@ let serve_bench ~meta ctx =
       support = None; seed = Context.seed ctx; model = V.Uniform_val 100.0;
       pricing = "lpip"; profile = Context.profile ctx }
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Timing.now_s () in
   (match SB.save_snapshot ~file:snap_file ~config:snap_config broker with
   | Ok () -> ()
   | Error msg ->
       Printf.eprintf "BUG: snapshot save failed: %s\n" msg;
       exit 1);
-  let snapshot_save_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+  let snapshot_save_ms = (Timing.now_s () -. t0) *. 1000.0 in
   let snapshot_bytes = (Unix.stat snap_file).Unix.st_size in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Timing.now_s () in
   let recovered =
     match SB.load_snapshot ~file:snap_file snap_config with
     | Ok b -> b
@@ -642,7 +640,7 @@ let serve_bench ~meta ctx =
           (Qp_serve.Snapshot.describe_load_error err);
         exit 1
   in
-  let recovery_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+  let recovery_ms = (Timing.now_s () -. t0) *. 1000.0 in
   let recovery_identity_mismatches =
     let bad = ref 0 in
     for idx = 0 to n - 1 do
@@ -718,7 +716,7 @@ let serve_bench ~meta ctx =
      showed 4 clients "beating" 1). *)
   let runs_per_level = 3 in
   let run_pass clients =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Timing.now_s () in
     let per_client =
       Qp_util.Parallel.map ~jobs:clients
         (fun c ->
@@ -727,17 +725,17 @@ let serve_bench ~meta ctx =
           let lats = ref [] and errors = ref 0 and quotes = ref 0 in
           let idx = ref c in
           while !idx < n do
-            let q0 = Unix.gettimeofday () in
+            let q0 = Timing.now_s () in
             (match quote conn !idx with
             | Some _ -> incr quotes
             | None -> incr errors);
-            lats := (Unix.gettimeofday () -. q0) *. 1000.0 :: !lats;
+            lats := (Timing.now_s () -. q0) *. 1000.0 :: !lats;
             idx := !idx + clients
           done;
           (!lats, !quotes, !errors))
         (Array.init clients (fun c -> c))
     in
-    let seconds = Unix.gettimeofday () -. t0 in
+    let seconds = Timing.now_s () -. t0 in
     let lats =
       Array.of_list
         (Array.to_list per_client |> List.concat_map (fun (l, _, _) -> l))
@@ -946,7 +944,7 @@ let () =
   | Some _ ->
       Qp_obs.set_enabled true;
       Qp_obs.reset ());
-  let t0 = Unix.gettimeofday () in
+  let t0 = Timing.now_s () in
   Fun.protect
     ~finally:(fun () ->
       match trace with
@@ -963,4 +961,4 @@ let () =
       if warmstart then warmstart_bench ~meta ctx;
       if serve then serve_bench ~meta ctx;
       if micro || ids = [] then microbenchmarks ctx);
-  Printf.printf "\nTotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0)
+  Printf.printf "\nTotal bench time: %.1fs\n" (Timing.now_s () -. t0)

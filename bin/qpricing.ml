@@ -26,6 +26,7 @@ module H = Qp_core.Hypergraph
 module P = Qp_core.Pricing
 module V = Qp_workloads.Valuations
 module Rng = Qp_util.Rng
+module Timing = Qp_util.Timing
 
 (* --- shared arguments ------------------------------------------------ *)
 
@@ -275,9 +276,7 @@ let price_cmd =
       (V.describe model) total;
     List.iter
       (fun (spec : Qp_core.Algorithms.spec) ->
-        let t0 = Unix.gettimeofday () in
-        let pricing = spec.solve h in
-        let dt = Unix.gettimeofday () -. t0 in
+        let pricing, dt = Timing.time (fun () -> spec.solve h) in
         let revenue = P.revenue pricing h in
         let sold = List.length (P.sold_edges pricing h) in
         Printf.printf
@@ -307,13 +306,13 @@ let run_cmd =
     Fun.protect ~finally:report_cross_check @@ fun () ->
     with_trace trace @@ fun () ->
     let inst = build_instance workload scale support seed in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Timing.now_s () in
     match Runner.run_cell_result ~profile ~seed model inst with
     | Error f ->
         Printf.eprintf "%s\n" (Runner.pp_cell_failure f);
         exit 1
     | Ok cell ->
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt = Timing.now_s () -. t0 in
         Printf.printf "%s under %s (%d run%s, %.1fs):\n" cell.Runner.instance
           cell.Runner.model
           (Runner.runs profile)
@@ -585,11 +584,11 @@ let serve_cmd =
       match snapshot with
       | None -> build_fresh ()
       | Some file -> (
-          let t0 = Unix.gettimeofday () in
+          let t0 = Timing.now_s () in
           match SB.load_snapshot ~file config with
           | Ok b ->
               Printf.printf "restored from snapshot %s in %.1f ms\n%!" file
-                ((Unix.gettimeofday () -. t0) *. 1000.0);
+                ((Timing.now_s () -. t0) *. 1000.0);
               b
           | Error err ->
               Printf.printf "snapshot %s refused: %s; recomputing\n%!" file

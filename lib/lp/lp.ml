@@ -44,8 +44,7 @@ let describe_error = function
 let create ?(minimize = false) () =
   { minimize; objs = []; nvars = 0; rows = []; nrows = 0 }
 
-let add_var p ?name ~obj () =
-  ignore name;
+let add_var p ~obj () =
   p.objs <- obj :: p.objs;
   p.nvars <- p.nvars + 1;
   p.nvars - 1
@@ -62,16 +61,27 @@ let add_le p terms b = add_row p Le terms b
 let add_ge p terms b = add_row p Ge terms b
 let add_eq p terms b = add_row p Eq terms b
 
-let dense_of_terms nvars terms =
-  let a = Array.make nvars 0.0 in
-  List.iter
-    (fun (coef, v) ->
-      assert (v >= 0 && v < nvars);
-      a.(v) <- a.(v) +. coef)
-    terms;
-  a
+(* One user row as a sparse row: repeated variables summed in term
+   order, exact zeros (cancelled pairs, -0.0) dropped. These are the
+   values a dense accumulator summing from 0.0 would hold: a partial sum
+   that is still zero adds the next nonzero term exactly, whatever its
+   sign of zero, so only zero sums can differ, and those are dropped. *)
+let row_of_terms nvars terms =
+  let by_var = List.stable_sort (fun (_, u) (_, v) -> Int.compare u v) terms in
+  let summed =
+    List.fold_left
+      (fun acc (coef, v) ->
+        assert (v >= 0 && v < nvars);
+        match acc with
+        | (u, sum) :: rest when u = v -> (u, sum +. coef) :: rest
+        | _ -> (v, coef) :: acc)
+      [] by_var
+  in
+  let nonzero = List.filter (fun (_, s) -> s <> 0.0) (List.rev summed) in
+  let idx, v = List.split nonzero in
+  { Sparse.idx = Array.of_list idx; v = Array.of_list v }
 
-(* Expansion into <= form. [origin.(k)] records which user constraint
+(* Expansion into sparse <= form. [origin.(k)] records which user constraint
    produced simplex row [k] and with which dual sign; note that for
    every generated row, rhs = dual_sign * user_bound, which is what lets
    [Batch.resolve] retarget bounds without re-expanding. *)
@@ -84,17 +94,18 @@ let expand p =
   let sim_rows = ref [] and origin = ref [] in
   Array.iteri
     (fun i { terms; bound; sense } ->
-      let a = dense_of_terms nvars terms in
-      let push arr b sgn =
-        sim_rows := (arr, b) :: !sim_rows;
+      let a = row_of_terms nvars terms in
+      let push a b sgn =
+        sim_rows := (a, b) :: !sim_rows;
         origin := (i, sgn) :: !origin
       in
+      let negated () = push (Sparse.scaled (-1.0) a) (-.bound) (-1.0) in
       match sense with
       | Le -> push a bound 1.0
-      | Ge -> push (Array.map (fun x -> -.x) a) (-.bound) (-1.0)
+      | Ge -> negated ()
       | Eq ->
-          push (Array.copy a) bound 1.0;
-          push (Array.map (fun x -> -.x) a) (-.bound) (-1.0))
+          push a bound 1.0;
+          negated ())
     user_rows;
   let rows = Array.of_list (List.rev !sim_rows) in
   let origin = Array.of_list (List.rev !origin) in
@@ -108,13 +119,13 @@ let solution_of_optimal ~sign ~origin ~nuser
     origin;
   { objective = sign *. objective; primal; row_dual }
 
-let solve ?engine ?max_pivots ?stall_threshold p =
+let solve ?engine ?max_pivots p =
   Qp_obs.with_span "lp.solve"
     ~args:(fun () ->
       [ ("vars", Qp_obs.Int p.nvars); ("constraints", Qp_obs.Int p.nrows) ])
   @@ fun () ->
   let sign, c, rows, origin, nuser = expand p in
-  match Simplex.solve ?engine ?max_pivots ?stall_threshold ~c ~rows () with
+  match Simplex.solve ?engine ?max_pivots ~c ~rows () with
   | Simplex.Infeasible -> Error Infeasible
   | Simplex.Unbounded -> Error Unbounded
   | Simplex.Budget_exhausted d -> Error (Budget_exhausted d)
@@ -132,14 +143,14 @@ module Batch = struct
     fam : Simplex.family;
   }
 
-  let prepare ?max_pivots ?stall_threshold (p : problem) =
+  let prepare ?max_pivots (p : problem) =
     let sign, c, rows, origin, nuser = expand p in
     {
       sign;
       nvars = p.nvars;
       nuser;
       origin;
-      fam = Simplex.prepare ?max_pivots ?stall_threshold ~c ~rows ();
+      fam = Simplex.prepare ?max_pivots ~c ~rows ();
     }
 
   let resolve ?engine ?obj ?bounds bt =

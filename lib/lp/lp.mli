@@ -2,9 +2,12 @@
 
     Models problems of the form {b maximize} (or minimize) [c . x]
     subject to linear [<=], [>=] and [=] constraints with non-negative
-    variables. [>=] and [=] rows are rewritten into [<=] form before the
-    simplex runs ([=] becomes a pair of inequalities), and dual values
-    are mapped back to the user-facing constraints with the right sign.
+    variables. Each row is expanded straight into {!Simplex}'s sparse
+    row format (repeated variables summed in term order, exact zeros
+    dropped; no dense row is ever built); [>=] and [=] rows are
+    rewritten into [<=] form before the simplex runs ([=] becomes a
+    pair of inequalities sharing one index array), and dual values are
+    mapped back to the user-facing constraints with the right sign.
 
     Typical use, pricing-flavoured:
     {[
@@ -42,7 +45,7 @@ val describe_error : error -> string
 val create : ?minimize:bool -> unit -> t
 (** A fresh empty problem; maximization unless [minimize] is set. *)
 
-val add_var : t -> ?name:string -> obj:float -> unit -> var
+val add_var : t -> obj:float -> unit -> var
 (** A new non-negative variable with the given objective coefficient. *)
 
 val var_count : t -> int
@@ -50,22 +53,18 @@ val constr_count : t -> int
 
 val add_le : t -> (float * var) list -> float -> constr
 (** [add_le p terms b] adds [sum terms <= b]. Repeated variables in
-    [terms] are summed. *)
+    [terms] are summed in term order; terms that sum to zero are
+    dropped. *)
 
 val add_ge : t -> (float * var) list -> float -> constr
 val add_eq : t -> (float * var) list -> float -> constr
 
 val solve :
-  ?engine:Simplex.engine ->
-  ?max_pivots:int ->
-  ?stall_threshold:int ->
-  t ->
-  (solution, error) result
-(** Solve the problem as built so far. [engine], [max_pivots] and
-    [stall_threshold] are passed through to {!Simplex.solve}. Solver
-    give-ups surface as [Error (Budget_exhausted _ | Numerical_error _)]
-    — never as an exception — so callers must not conflate them with
-    [Infeasible]. *)
+  ?engine:Simplex.engine -> ?max_pivots:int -> t -> (solution, error) result
+(** Solve the problem as built so far. [engine] and [max_pivots] are
+    passed through to {!Simplex.solve}. Solver give-ups surface as
+    [Error (Budget_exhausted _ | Numerical_error _)] — never as an
+    exception — so callers must not conflate them with [Infeasible]. *)
 
 (** Warm-started solving of builder-level LP families: capture the
     expanded matrix of a problem once, then re-solve with new objective
@@ -77,10 +76,11 @@ module Batch : sig
   type problem := t
 
   type t
-  (** A prepared family: the expanded [<=]-form matrix plus the warm
-      state. Not thread-safe; use one batch per worker. *)
+  (** A prepared family: the expanded sparse [<=]-form rows, stored
+      once, plus the warm state. Not thread-safe; use one batch per
+      worker. *)
 
-  val prepare : ?max_pivots:int -> ?stall_threshold:int -> problem -> t
+  val prepare : ?max_pivots:int -> problem -> t
   (** Snapshot the problem as built so far (later [add_var]/[add_*] calls
       on the source problem are not reflected). No solve happens yet. *)
 

@@ -87,15 +87,22 @@ let reset_cross_check_mismatches () = Atomic.set mismatches 0
 (* Warm starts can be disabled globally (QP_LP_WARMSTART=off or
    set_warm_starts false): every resolve then runs the cold path, which
    is how `bench warmstart` measures its baseline and how a suspected
-   warm-path bug can be ruled out in the field. *)
+   warm-path bug can be ruled out in the field. Parsed like QP_LP_ENGINE:
+   a typo such as "of" aborts instead of silently meaning "on". *)
 let warm_ref =
   ref
     (match Sys.getenv_opt "QP_LP_WARMSTART" with
+    | None -> true
     | Some s -> (
         match String.lowercase_ascii (String.trim s) with
+        | "" | "on" | "1" | "true" | "yes" -> true
         | "off" | "0" | "false" | "no" -> false
-        | _ -> true)
-    | None -> true)
+        | _ ->
+            Printf.eprintf
+              "QP_LP_WARMSTART: unknown value %S (known: on, 1, true, yes, \
+               off, 0, false, no)\n%!"
+              s;
+            exit 2))
 
 let warm_starts () = !warm_ref
 let set_warm_starts b = warm_ref := b
@@ -135,6 +142,16 @@ let tick () = if Qp_obs.enabled () then Qp_obs.now_ns () else 0
 
 let tock label t0 =
   if t0 <> 0 then Qp_obs.observe_ns label (Qp_obs.now_ns () - t0)
+
+let default_stall_threshold = 1024
+
+(* Etas accumulated before a reinversion: [every], or half the rows. *)
+let refactor_interval ?every nrows =
+  match every with Some k -> max 1 k | None -> max 64 (nrows / 2)
+
+(* Phase 1 gives every row with a negative rhs an artificial column. *)
+let artificials rows =
+  Array.fold_left (fun acc (_, b) -> if b < 0.0 then acc + 1 else acc) 0 rows
 
 let bland_cutoff ~stall_threshold ~nrows ~nvars =
   if stall_threshold = max_int then max_int
@@ -307,13 +324,14 @@ module Dense_engine = struct
     mk_diagnostics ~pivots:t.pivots ~phase1_pivots ~degenerate:t.degenerate
       ~bland:t.bland_ever ~detail
 
-  let solve ~tol ~max_pivots ~stall_threshold ~c ~rows =
+  (* The only place a row is densified: each sparse row is scattered
+     into its own tableau row. *)
+  let solve ~max_pivots ~stall_threshold ~c ~rows =
+    let tol = Tolerance.make ~c ~rows in
     let nvars = Array.length c in
     let nrows = Array.length rows in
     let negated = Array.map (fun (_, b) -> b < 0.0) rows in
-    let n_art =
-      Array.fold_left (fun acc n -> if n then acc + 1 else acc) 0 negated
-    in
+    let n_art = artificials rows in
     let art_first = nvars + nrows in
     let ncols = nvars + nrows + n_art in
     let t =
@@ -341,7 +359,7 @@ module Dense_engine = struct
       (fun i (a, b) ->
         let row = t.rows.(i) in
         let sign = if negated.(i) then -1.0 else 1.0 in
-        Array.iteri (fun j v -> row.(j) <- sign *. v) a;
+        Sparse.iter (fun j v -> row.(j) <- sign *. v) a;
         row.(nvars + i) <- sign;
         row.(ncols) <- sign *. b;
         if negated.(i) then begin
@@ -781,24 +799,23 @@ module Revised_engine = struct
       end
     done
 
-  (* Build a fresh state: sparse columns factored from [rows], slack
-     basis (artificials on negated rows), xb = b. Shared by the one-shot
-     cold solve and the warm-started family path, which keeps the state
-     alive across solves. *)
-  let make_state ~tol ~max_pivots ~stall_threshold ~refactor_every ~c ~rows =
+  (* Build a fresh state: sparse columns transposed from the sparse
+     [rows], slack basis (artificials on negated rows), xb = b. Shared by
+     the one-shot cold solve and the warm-started family path, which
+     keeps the state alive across solves. *)
+  let make_state ~max_pivots ~stall_threshold ~refactor_every ~c ~rows =
+    let tol = Tolerance.make ~c ~rows in
     let nvars = Array.length c in
     let nrows = Array.length rows in
     let negated = Array.map (fun (_, b) -> b < 0.0) rows in
-    let n_art =
-      Array.fold_left (fun acc n -> if n then acc + 1 else acc) 0 negated
-    in
+    let n_art = artificials rows in
     let art_first = nvars + nrows in
     let ncols = art_first + n_art in
     (* Sparse structural columns, sign-transformed per row. *)
     let counts = Array.make nvars 0 in
     Array.iter
-      (fun (a, _) ->
-        Array.iteri (fun j v -> if v <> 0.0 then counts.(j) <- counts.(j) + 1) a)
+      (fun ((a : Sparse.col), _) ->
+        Array.iter (fun j -> counts.(j) <- counts.(j) + 1) a.idx)
       rows;
     let cols = Array.make ncols Sparse.empty in
     let fillk = Array.make nvars 0 in
@@ -810,15 +827,13 @@ module Revised_engine = struct
     Array.iteri
       (fun i (a, _) ->
         let s = if negated.(i) then -1.0 else 1.0 in
-        Array.iteri
+        Sparse.iter
           (fun j v ->
-            if v <> 0.0 then begin
-              let col = cols.(j) in
-              let k = fillk.(j) in
-              col.Sparse.idx.(k) <- i;
-              col.Sparse.v.(k) <- s *. v;
-              fillk.(j) <- k + 1
-            end)
+            let col = cols.(j) in
+            let k = fillk.(j) in
+            col.Sparse.idx.(k) <- i;
+            col.Sparse.v.(k) <- s *. v;
+            fillk.(j) <- k + 1)
           a)
       rows;
     let sign =
@@ -981,9 +996,9 @@ module Revised_engine = struct
     in
     (outcome, stats_of st ~phase1_pivots)
 
-  let solve ~tol ~max_pivots ~stall_threshold ~refactor_every ~c ~rows =
+  let solve ~max_pivots ~stall_threshold ~refactor_every ~c ~rows =
     cold_solve
-      (make_state ~tol ~max_pivots ~stall_threshold ~refactor_every ~c ~rows)
+      (make_state ~max_pivots ~stall_threshold ~refactor_every ~c ~rows)
 
   (* --- warm re-solve --------------------------------------------------- *)
 
@@ -1131,7 +1146,7 @@ module Revised_engine = struct
      Warm_fallback, its reason prefixed with the step that failed; the
      caller then runs a cold solve, so warm-starting never changes which
      outcomes are reachable — only how fast the Optimal ones are found. *)
-  let warm_solve st ~c ~rhs =
+  let warm_solve st ~c ~rows =
     st.pivots <- 0;
     st.degenerate <- 0;
     st.stall <- 0;
@@ -1147,7 +1162,7 @@ module Revised_engine = struct
     done;
     let rhs_changed = ref false in
     for i = 0 to st.nrows - 1 do
-      if st.b.(i) <> st.sign.(i) *. rhs.(i) then rhs_changed := true
+      if st.b.(i) <> st.sign.(i) *. snd rows.(i) then rhs_changed := true
     done;
     let no_artificials j = j < st.art_first in
     let primal2 () =
@@ -1191,7 +1206,7 @@ module Revised_engine = struct
         if not !rhs_changed then finish ~step:old_rhs ~dual_pivots:0
         else begin
           for i = 0 to st.nrows - 1 do
-            st.b.(i) <- st.sign.(i) *. rhs.(i)
+            st.b.(i) <- st.sign.(i) *. snd rows.(i)
           done;
           Array.blit st.b 0 st.xb 0 st.nrows;
           let t0 = tick () in
@@ -1225,7 +1240,15 @@ module Revised_engine = struct
         end
 end
 
+
 (* --- cross-check ------------------------------------------------------- *)
+
+let outcome_tag = function
+  | Optimal _ -> "optimal"
+  | Unbounded -> "unbounded"
+  | Infeasible -> "infeasible"
+  | Budget_exhausted _ -> "budget_exhausted"
+  | Numerical_error _ -> "numerical_error"
 
 (* Engines may legitimately differ on give-ups (pivot budgets bite at
    different counts), and alternate optima make primal/dual vectors
@@ -1260,26 +1283,50 @@ let cross_check ~rows revised dense =
         Some (Printf.sprintf "dense dual certificate gap %.3g" (dual_gap d))
       else None
   | r, d ->
-      let tag = function
-        | Optimal _ -> "optimal"
-        | Unbounded -> "unbounded"
-        | Infeasible -> "infeasible"
-        | Budget_exhausted _ -> "budget_exhausted"
-        | Numerical_error _ -> "numerical_error"
-      in
-      Some (Printf.sprintf "outcomes differ: revised %s vs dense %s" (tag r) (tag d))
+      Some
+        (Printf.sprintf "outcomes differ: revised %s vs dense %s"
+           (outcome_tag r) (outcome_tag d))
+
+(* Check mode's verdict on a revised-engine [outcome]: re-solve the same
+   LP cold on the dense oracle and count any disagreement. Under
+   injected faults the two runs draw different fault schedules (key =
+   pivot count, and paths differ), so there is no meaningful verdict. *)
+let check_against_dense ~max_pivots ~stall_threshold ~c ~rows outcome =
+  if not (Qp_fault.enabled ()) then begin
+    let dense, _ = Dense_engine.solve ~max_pivots ~stall_threshold ~c ~rows in
+    match cross_check ~rows outcome dense with
+    | None -> ()
+    | Some detail ->
+        Atomic.incr mismatches;
+        Qp_obs.counter "simplex.cross_check_mismatch" 1;
+        Qp_obs.event "simplex.cross_check_mismatch"
+          ~args:(fun () -> [ ("detail", Qp_obs.Str detail) ])
+  end
 
 (* --- dispatcher -------------------------------------------------------- *)
 
-let outcome_tag = function
-  | Optimal _ -> "optimal"
-  | Unbounded -> "unbounded"
-  | Infeasible -> "infeasible"
-  | Budget_exhausted _ -> "budget_exhausted"
-  | Numerical_error _ -> "numerical_error"
+(* Counters shared by one-shot solves and resolves: give-ups, and the
+   reported solve's pivots by phase (primal phase 2 is what phase 1 and
+   the dual phase leave). *)
+let count_outcome outcome stats ~dual_pivots =
+  (match outcome with
+  | Budget_exhausted _ -> Qp_obs.counter "simplex.budget_exhausted" 1
+  | Numerical_error _ -> Qp_obs.counter "simplex.numerical_error" 1
+  | Optimal _ | Unbounded | Infeasible -> ());
+  Qp_obs.counter "simplex.pivots" stats.s_pivots;
+  Qp_obs.counter "simplex.phase1_pivots" stats.s_phase1;
+  Qp_obs.counter "simplex.phase2_pivots"
+    (stats.s_pivots - stats.s_phase1 - dual_pivots);
+  Qp_obs.counter "simplex.dual_pivots" dual_pivots
 
-let solve ?engine ?(max_pivots = 50_000) ?(stall_threshold = 1024)
-    ?refactor_every ~c ~rows () =
+let check_rows ~nvars rows =
+  Array.iter
+    (fun ((a : Sparse.col), _) ->
+      Array.iter (fun j -> assert (j >= 0 && j < nvars)) a.idx)
+    rows
+
+let solve ?engine ?(max_pivots = 50_000)
+    ?(stall_threshold = default_stall_threshold) ?refactor_every ~c ~rows () =
   let engine = match engine with Some e -> e | None -> !engine_ref in
   let nvars = Array.length c in
   let nrows = Array.length rows in
@@ -1291,52 +1338,27 @@ let solve ?engine ?(max_pivots = 50_000) ?(stall_threshold = 1024)
         ("engine", Qp_obs.Str (engine_name engine));
       ])
   @@ fun () ->
-  Array.iter (fun (a, _) -> assert (Array.length a = nvars)) rows;
-  let tol = Tolerance.make ~c ~rows in
-  let refactor_every =
-    match refactor_every with Some k -> max 1 k | None -> max 64 (nrows / 2)
-  in
+  check_rows ~nvars rows;
+  let refactor_every = refactor_interval ?every:refactor_every nrows in
   Qp_obs.counter "simplex.solves" 1;
   if Qp_obs.enabled () then begin
-    let n_art =
-      Array.fold_left (fun acc (_, b) -> if b < 0.0 then acc + 1 else acc) 0 rows
-    in
     Qp_obs.gauge_max "simplex.max_rows" (Float.of_int nrows);
-    Qp_obs.gauge_max "simplex.max_cols" (Float.of_int (nvars + nrows + n_art))
+    Qp_obs.gauge_max "simplex.max_cols"
+      (Float.of_int (nvars + nrows + artificials rows))
   end;
-  let run_dense () =
-    Dense_engine.solve ~tol ~max_pivots ~stall_threshold ~c ~rows
-  in
   let run_revised () =
-    Revised_engine.solve ~tol ~max_pivots ~stall_threshold ~refactor_every ~c
-      ~rows
+    Revised_engine.solve ~max_pivots ~stall_threshold ~refactor_every ~c ~rows
   in
   let outcome, stats =
     match engine with
-    | Dense -> run_dense ()
+    | Dense -> Dense_engine.solve ~max_pivots ~stall_threshold ~c ~rows
     | Revised -> run_revised ()
     | Check ->
         let ((revised, _) as result) = run_revised () in
-        (* Under injected faults the two runs draw different fault
-           schedules (key = pivot count, and paths differ), so there is
-           no meaningful verdict. *)
-        if not (Qp_fault.enabled ()) then begin
-          let dense, _ = run_dense () in
-          match cross_check ~rows revised dense with
-          | None -> ()
-          | Some detail ->
-              Atomic.incr mismatches;
-              Qp_obs.counter "simplex.cross_check_mismatch" 1;
-              Qp_obs.event "simplex.cross_check_mismatch"
-                ~args:(fun () -> [ ("detail", Qp_obs.Str detail) ])
-        end;
+        check_against_dense ~max_pivots ~stall_threshold ~c ~rows revised;
         result
   in
-  (match outcome with
-  | Budget_exhausted _ -> Qp_obs.counter "simplex.budget_exhausted" 1
-  | Numerical_error _ -> Qp_obs.counter "simplex.numerical_error" 1
-  | Optimal _ | Unbounded | Infeasible -> ());
-  Qp_obs.counter "simplex.pivots" stats.s_pivots;
+  count_outcome outcome stats ~dual_pivots:0;
   if Qp_obs.enabled () && stats.s_etas > 0 then begin
     Qp_obs.gauge_max "simplex.max_eta_len" (Float.of_int stats.s_etas);
     Qp_obs.gauge_max "simplex.max_eta_fill" (Float.of_int stats.s_fill)
@@ -1362,13 +1384,11 @@ let solve ?engine ?(max_pivots = 50_000) ?(stall_threshold = 1024)
    primal/dual pivots instead of a full two-phase solve. *)
 type family = {
   f_nvars : int;
-  f_nrows : int;
   f_c : float array; (* current objective *)
-  f_coeffs : float array array; (* shared row coefficients, never mutated *)
-  f_rhs : float array; (* current rhs *)
+  (* the current member's rows: shared coefficient rows, never mutated,
+     each paired with its current rhs *)
+  f_rows : (Sparse.col * float) array;
   f_max_pivots : int;
-  f_stall : int;
-  f_refactor : int option;
   (* Some iff the previous resolve ended Optimal on the revised engine,
      i.e. the saved basis is a valid warm-start seed. *)
   mutable f_state : Revised_engine.state option;
@@ -1377,30 +1397,23 @@ type family = {
   mutable f_cold_pivots : int;
 }
 
-let prepare ?(max_pivots = 50_000) ?(stall_threshold = 1024) ?refactor_every
-    ~c ~rows () =
+let prepare ?(max_pivots = 50_000) ~c ~rows () =
   let nvars = Array.length c in
-  Array.iter (fun (a, _) -> assert (Array.length a = nvars)) rows;
+  check_rows ~nvars rows;
   {
     f_nvars = nvars;
-    f_nrows = Array.length rows;
     f_c = Array.copy c;
-    f_coeffs = Array.map fst rows;
-    f_rhs = Array.map snd rows;
+    f_rows = Array.copy rows;
     f_max_pivots = max_pivots;
-    f_stall = stall_threshold;
-    f_refactor = refactor_every;
     f_state = None;
     f_cold_pivots = 0;
   }
 
-let family_rows fam =
-  Array.init fam.f_nrows (fun i -> (fam.f_coeffs.(i), fam.f_rhs.(i)))
-
-let family_size fam = (fam.f_nrows, fam.f_nvars)
+let family_size fam = (Array.length fam.f_rows, fam.f_nvars)
 
 let resolve ?engine ?c ?rhs fam =
   let engine = match engine with Some e -> e | None -> !engine_ref in
+  let nrows = Array.length fam.f_rows in
   (match c with
   | None -> ()
   | Some c ->
@@ -1409,8 +1422,8 @@ let resolve ?engine ?c ?rhs fam =
   (match rhs with
   | None -> ()
   | Some r ->
-      assert (Array.length r = fam.f_nrows);
-      Array.blit r 0 fam.f_rhs 0 fam.f_nrows);
+      assert (Array.length r = nrows);
+      Array.iteri (fun i b -> fam.f_rows.(i) <- (fst fam.f_rows.(i), b)) r);
   let warm_enabled = !warm_ref && engine <> Dense in
   (* Same span label as the one-shot path: report tooling aggregates by
      label, and a resolve is a solve — [warm_seed]/[warm_hit] args and
@@ -1418,7 +1431,7 @@ let resolve ?engine ?c ?rhs fam =
   Qp_obs.with_span "simplex.solve"
     ~args:(fun () ->
       [
-        ("rows", Qp_obs.Int fam.f_nrows);
+        ("rows", Qp_obs.Int nrows);
         ("vars", Qp_obs.Int fam.f_nvars);
         ("engine", Qp_obs.Str (engine_name engine));
         ("warm_seed", Qp_obs.Bool (warm_enabled && fam.f_state <> None));
@@ -1426,17 +1439,14 @@ let resolve ?engine ?c ?rhs fam =
   @@ fun () ->
   Qp_obs.counter "simplex.solves" 1;
   Qp_obs.counter "simplex.resolves" 1;
+  let max_pivots = fam.f_max_pivots
+  and stall_threshold = default_stall_threshold
+  and c = fam.f_c
+  and rows = fam.f_rows in
   let cold_revised () =
-    let rows = family_rows fam in
-    let tol = Tolerance.make ~c:fam.f_c ~rows in
-    let refactor_every =
-      match fam.f_refactor with
-      | Some k -> max 1 k
-      | None -> max 64 (fam.f_nrows / 2)
-    in
     let st =
-      Revised_engine.make_state ~tol ~max_pivots:fam.f_max_pivots
-        ~stall_threshold:fam.f_stall ~refactor_every ~c:fam.f_c ~rows
+      Revised_engine.make_state ~max_pivots ~stall_threshold
+        ~refactor_every:(refactor_interval nrows) ~c ~rows
     in
     let outcome, stats = Revised_engine.cold_solve st in
     fam.f_state <-
@@ -1447,17 +1457,14 @@ let resolve ?engine ?c ?rhs fam =
   let outcome, stats, warm_hit, dual_pivots =
     match engine with
     | Dense ->
-        let rows = family_rows fam in
-        let tol = Tolerance.make ~c:fam.f_c ~rows in
         let outcome, stats =
-          Dense_engine.solve ~tol ~max_pivots:fam.f_max_pivots
-            ~stall_threshold:fam.f_stall ~c:fam.f_c ~rows
+          Dense_engine.solve ~max_pivots ~stall_threshold ~c ~rows
         in
         (outcome, stats, false, 0)
     | Revised | Check -> (
         match fam.f_state with
         | Some st when warm_enabled -> (
-            match Revised_engine.warm_solve st ~c:fam.f_c ~rhs:fam.f_rhs with
+            match Revised_engine.warm_solve st ~c ~rows with
             | Revised_engine.Warm (outcome, stats, dp) ->
                 (match outcome with
                 | Optimal _ -> ()
@@ -1484,26 +1491,9 @@ let resolve ?engine ?c ?rhs fam =
   (* check mode keeps the dense oracle over the *warm-started* result:
      the exact cross-check used for one-shot solves, applied to the
      family member currently loaded. *)
-  if engine = Check && not (Qp_fault.enabled ()) then begin
-    let rows = family_rows fam in
-    let tol = Tolerance.make ~c:fam.f_c ~rows in
-    let dense, _ =
-      Dense_engine.solve ~tol ~max_pivots:fam.f_max_pivots
-        ~stall_threshold:fam.f_stall ~c:fam.f_c ~rows
-    in
-    match cross_check ~rows outcome dense with
-    | None -> ()
-    | Some detail ->
-        Atomic.incr mismatches;
-        Qp_obs.counter "simplex.cross_check_mismatch" 1;
-        Qp_obs.event "simplex.cross_check_mismatch"
-          ~args:(fun () -> [ ("detail", Qp_obs.Str detail) ])
-  end;
-  (match outcome with
-  | Budget_exhausted _ -> Qp_obs.counter "simplex.budget_exhausted" 1
-  | Numerical_error _ -> Qp_obs.counter "simplex.numerical_error" 1
-  | Optimal _ | Unbounded | Infeasible -> ());
-  Qp_obs.counter "simplex.pivots" stats.s_pivots;
+  if engine = Check then
+    check_against_dense ~max_pivots ~stall_threshold ~c ~rows outcome;
+  count_outcome outcome stats ~dual_pivots;
   Qp_obs.counter
     (if warm_hit then "simplex.warm_hit" else "simplex.warm_miss")
     1;
@@ -1515,6 +1505,7 @@ let resolve ?engine ?c ?rhs fam =
   Qp_obs.annotate (fun () ->
       [
         ("pivots", Qp_obs.Int stats.s_pivots);
+        ("phase1_pivots", Qp_obs.Int stats.s_phase1);
         ("dual_pivots", Qp_obs.Int dual_pivots);
         ("warm_hit", Qp_obs.Bool warm_hit);
         ("outcome", Qp_obs.Str (outcome_tag outcome));

@@ -5,13 +5,15 @@
     variables for the infeasible slack rows). This is the raw engine;
     {!Lp} offers a friendlier incremental problem builder.
 
-    The default engine is a {e revised} simplex: the constraint matrix
-    is stored as sparse columns ({!Sparse}) and the basis inverse as an
-    eta-file factorization ({!Basis}) with periodic reinversion, so the
-    per-pivot cost tracks the nonzero structure rather than the dense
-    [O(rows * cols)] elimination. The previous dense tableau survives as
-    a reference oracle ({!Dense}), and {!Check} runs both engines on
-    every solve and counts disagreements. Both engines share the same
+    Rows come in as sparse vectors ({!Sparse.col}, indexed by variable):
+    the one LP input format. The default engine is a {e revised}
+    simplex: it transposes the rows into sparse columns and stores the
+    basis inverse as an eta-file factorization ({!Basis}) with periodic
+    reinversion, so the per-pivot cost tracks the nonzero structure
+    rather than the dense [O(rows * cols)] elimination. The previous
+    dense tableau survives as a reference oracle ({!Dense}) and is the
+    only code that densifies a row; {!Check} runs both engines on every
+    solve and counts disagreements. Both engines share the same
     pivot rules — Dantzig pricing with an anti-cycling switch to Bland's
     rule once the iteration stalls — and the same scale-relative
     {!Tolerance} thresholds.
@@ -96,12 +98,14 @@ val solve :
   ?stall_threshold:int ->
   ?refactor_every:int ->
   c:float array ->
-  rows:(float array * float) array ->
+  rows:(Sparse.col * float) array ->
   unit ->
   outcome
 (** [solve ~c ~rows ()] maximizes [c . x] over [{x >= 0 | a_i . x <= b_i}]
-    for [(a_i, b_i)] in [rows]. Every [a_i] must have the same length as
-    [c]. [max_pivots] (default [50_000]) bounds the total pivot count;
+    for [(a_i, b_i)] in [rows]. Each [a_i] lists the row's nonzeros by
+    variable index (strictly increasing, each below [Array.length c], no
+    stored zeros); {!Sparse.of_dense} converts a dense row.
+    [max_pivots] (default [50_000]) bounds the total pivot count;
     exceeding it yields [Budget_exhausted] (never an exception).
 
     [engine] overrides the process default for this solve only.
@@ -129,7 +133,10 @@ val solve :
     and phase-1/phase-2 pivot counts, degenerate pivots, whether Bland's
     rule engaged, eta count, reinversion count and the outcome on close,
     plus the ["simplex.solves"] / ["simplex.pivots"] /
-    ["simplex.refactorizations"] counters, problem-size gauges and the
+    ["simplex.refactorizations"] counters, the pivots-by-phase counters
+    ["simplex.phase1_pivots"] / ["simplex.phase2_pivots"] /
+    ["simplex.dual_pivots"] (which sum to ["simplex.pivots"]; a one-shot
+    solve has no dual phase), problem-size gauges and the
     eta-file length/fill gauges ["simplex.max_eta_len"] /
     ["simplex.max_eta_fill"]. Failures bump
     ["simplex.budget_exhausted"] / ["simplex.numerical_error"]; the
@@ -169,18 +176,17 @@ type family
 
 val prepare :
   ?max_pivots:int ->
-  ?stall_threshold:int ->
-  ?refactor_every:int ->
   c:float array ->
-  rows:(float array * float) array ->
+  rows:(Sparse.col * float) array ->
   unit ->
   family
 (** [prepare ~c ~rows ()] captures the family's shared matrix together
     with its first member's objective [c] and rhs (the [b_i] of
-    [rows]). No solving happens yet; the optional knobs mean the same
-    as in {!solve} and apply to every subsequent {!resolve}. The row
-    coefficient arrays are shared, not copied — callers must not mutate
-    them. *)
+    [rows]), in {!solve}'s row format. No solving happens yet;
+    [max_pivots] means the same as in {!solve} and applies to every
+    subsequent {!resolve}, which otherwise runs {!solve}'s defaults. The
+    sparse rows are stored once and shared, not copied — callers must
+    not mutate them. *)
 
 val resolve : ?engine:engine -> ?c:float array -> ?rhs:float array -> family -> outcome
 (** [resolve ?c ?rhs fam] solves the family member obtained by
@@ -205,10 +211,13 @@ val resolve : ?engine:engine -> ?c:float array -> ?rhs:float array -> family -> 
     ["simplex.warm_hit"] / ["simplex.warm_miss"] counter, the
     ["simplex.warm_pivots_saved"] counter plus
     ["simplex.warm_pivots_saved_max"] gauge (vs the family's last cold
-    solve), and — when the dual phase runs — a ["simplex.dual_phase"]
-    span. A dual phase that makes a whole reinversion interval
-    ([refactor_every]) of consecutive dual-degenerate pivots is
-    abandoned as stalled. Warm-path failures emit a
+    solve), the pivots-by-phase counters of {!solve} (a warm hit spends
+    no phase-1 pivots; its dual-phase pivots count as
+    ["simplex.dual_pivots"]), [phase1_pivots] among the close args, and
+    — when the dual phase runs — a ["simplex.dual_phase"] span. A dual
+    phase that makes a whole reinversion interval (the default
+    [refactor_every]) of consecutive dual-degenerate pivots is abandoned
+    as stalled. Warm-path failures emit a
     ["simplex.warm_fallback"] event — [reason] prefixed by the failing
     step ([phase 2 on old rhs:], [dual phase:] or [cleanup phase 2:]),
     plus the abandoned [pivots] and [dual_pivots] — add those pivots to
@@ -220,8 +229,10 @@ val family_size : family -> int * int
 
 val warm_starts : unit -> bool
 (** Whether {!resolve} may reuse saved bases. Initialized from
-    [QP_LP_WARMSTART] (any of [off]/[0]/[false]/[no] disables; default
-    enabled). *)
+    [QP_LP_WARMSTART], trimmed and case-insensitive: [on]/[1]/[true]/
+    [yes] enable, [off]/[0]/[false]/[no] disable, unset or empty means
+    the default (enabled). Any other value aborts the process at load
+    time with exit code 2, like [QP_LP_ENGINE]. *)
 
 val set_warm_starts : bool -> unit
 (** Kill switch: [set_warm_starts false] makes every {!resolve} run the

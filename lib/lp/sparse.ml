@@ -1,9 +1,9 @@
-(* Sparse column vectors: the storage unit of the revised simplex.
-   A column keeps only its nonzero entries as parallel (row index,
-   value) arrays, indices strictly increasing. The constraint matrix
-   of a pricing LP is a few percent dense, so per-iteration pricing
-   over sparse columns is what lifts the O(rows * cols) per-pivot cost
-   of the dense tableau. *)
+(* Sparse vectors: the storage unit of the LP layer — its input rows,
+   the revised simplex's columns and the eta file. A vector keeps only
+   its nonzero entries as parallel (index, value) arrays, indices
+   strictly increasing. The constraint matrix of a pricing LP is a few
+   percent dense, so per-iteration pricing over sparse columns is what
+   lifts the O(rows * cols) per-pivot cost of the dense tableau. *)
 
 type col = { idx : int array; v : float array }
 
@@ -50,10 +50,3 @@ let iter f c =
   for k = 0 to Array.length c.idx - 1 do
     f c.idx.(k) c.v.(k)
   done
-
-let get c i =
-  (* columns are tiny relative to the matrix; a linear probe beats a
-     binary search below a few dozen entries, which is the common case *)
-  let n = Array.length c.idx in
-  let rec go k = if k >= n then 0.0 else if c.idx.(k) = i then c.v.(k) else go (k + 1) in
-  go 0

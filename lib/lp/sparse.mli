@@ -1,9 +1,10 @@
-(** Sparse column vectors for the revised simplex engine.
+(** Sparse vectors: the LP layer's one storage format.
 
-    A column stores only its nonzero entries as parallel (row index,
-    value) arrays with strictly increasing indices. {!Simplex}'s
-    revised engine holds the whole constraint matrix as an array of
-    these, and {!Basis} stores its eta vectors the same way. *)
+    A vector stores only its nonzero entries as parallel (index, value)
+    arrays with strictly increasing indices. The LP input rows of
+    {!Simplex} and {!Lp} are these (indexed by variable); {!Simplex}'s
+    revised engine transposes them into its columns (indexed by row),
+    and {!Basis} stores its eta vectors the same way. *)
 
 type col = { idx : int array; v : float array }
 (** Nonzero entries of one column; [idx] strictly increasing. *)
@@ -34,7 +35,3 @@ val scatter : col -> float array -> unit
 
 val iter : (int -> float -> unit) -> col -> unit
 (** Iterate over the (row, value) nonzeros in index order. *)
-
-val get : col -> int -> float
-(** [get c i] is entry [i] (0 when not stored). Linear probe — meant
-    for the drive-out scan, not for hot loops. *)

@@ -22,7 +22,13 @@ let max_abs acc x = Float.max acc (Float.abs x)
 let make ~c ~rows =
   let cmax = Array.fold_left max_abs 1.0 c in
   let bmax = Array.fold_left (fun acc (_, b) -> max_abs acc b) 1.0 rows in
-  let amax = Array.fold_left (fun acc (a, _) -> Array.fold_left max_abs acc a) 1.0 rows in
+  (* Only stored nonzeros are folded: a zero cannot raise a maximum that
+     starts at 1, so a sparse row yields the dense row's threshold. *)
+  let amax =
+    Array.fold_left
+      (fun acc ((a : Sparse.col), _) -> Array.fold_left max_abs acc a.v)
+      1.0 rows
+  in
   {
     (* Phase-1 reduced costs are sums of (eliminated) constraint-matrix
        rows, so they carry the matrix coefficients' scale — NOT the rhs

@@ -33,9 +33,10 @@ val base_eps : float
 val base_residual : float
 (** [1e-7] — the relative base of the phase-1 residual threshold. *)
 
-val make : c:float array -> rows:(float array * float) array -> t
+val make : c:float array -> rows:(Sparse.col * float) array -> t
 (** [make ~c ~rows] computes the tolerances for one instance of
-    maximize [c . x] s.t. [a_i . x <= b_i], [x >= 0]. *)
+    maximize [c . x] s.t. [a_i . x <= b_i], [x >= 0], each row [a_i]
+    given by its nonzeros (see {!Simplex.solve}). *)
 
 val ratio_lt : float -> float -> bool
 (** [ratio_lt a b] — [a] is strictly smaller than ratio-test candidate

@@ -223,7 +223,8 @@ let test_xos_drops_non_additive_component () =
 
 let test_nan_injection_is_numerical_error () =
   with_faults "simplex.pivot:nan" @@ fun () ->
-  match Simplex.solve ~c:[| 1.0 |] ~rows:[| ([| 1.0 |], 1.0) |] () with
+  let rows = [| (Qp_lp.Sparse.of_dense [| 1.0 |], 1.0) |] in
+  match Simplex.solve ~c:[| 1.0 |] ~rows () with
   | Simplex.Numerical_error d ->
       Alcotest.(check bool) "detail mentions injection" true
         (String.length d.Simplex.detail > 0)
@@ -233,11 +234,13 @@ let test_nan_injection_is_numerical_error () =
 
 let beale () =
   ( [| 0.75; -150.0; 0.02; -6.0 |],
-    [|
-      ([| 0.25; -60.0; -0.04; 9.0 |], 0.0);
-      ([| 0.5; -90.0; -0.02; 3.0 |], 0.0);
-      ([| 0.0; 0.0; 1.0; 0.0 |], 1.0);
-    |] )
+    Array.map
+      (fun (a, b) -> (Qp_lp.Sparse.of_dense a, b))
+      [|
+        ([| 0.25; -60.0; -0.04; 9.0 |], 0.0);
+        ([| 0.5; -90.0; -0.02; 3.0 |], 0.0);
+        ([| 0.0; 0.0; 1.0; 0.0 |], 1.0);
+      |] )
 
 let test_beale_cycles_without_fallback () =
   let c, rows = beale () in

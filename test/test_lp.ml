@@ -6,12 +6,16 @@
 module Simplex = Qp_lp.Simplex
 module Lp = Qp_lp.Lp
 
+(* The fixtures below are written as dense rows; the solver takes sparse
+   ones. *)
+let sparse rows = Array.map (fun (a, b) -> (Qp_lp.Sparse.of_dense a, b)) rows
+
 (* Solver-level tests run once per engine (see [suite]); builder tests
    run on the process default. *)
 let engine = ref Simplex.Revised
 
 let solve_xy c rows =
-  match Simplex.solve ~engine:!engine ~c ~rows () with
+  match Simplex.solve ~engine:!engine ~c ~rows:(sparse rows) () with
   | Simplex.Optimal s -> s
   | Simplex.Unbounded -> Alcotest.fail "unexpected unbounded"
   | Simplex.Infeasible -> Alcotest.fail "unexpected infeasible"
@@ -45,7 +49,7 @@ let test_zero_objective () =
 let test_unbounded () =
   match
     Simplex.solve ~engine:!engine ~c:[| 1.; 0. |]
-      ~rows:[| ([| 0.; 1. |], 4.) |] ()
+      ~rows:(sparse [| ([| 0.; 1. |], 4.) |]) ()
   with
   | Simplex.Unbounded -> ()
   | _ -> Alcotest.fail "expected unbounded"
@@ -53,7 +57,8 @@ let test_unbounded () =
 let test_infeasible () =
   (* x <= -1 with x >= 0 *)
   match
-    Simplex.solve ~engine:!engine ~c:[| 1. |] ~rows:[| ([| 1. |], -1.) |] ()
+    Simplex.solve ~engine:!engine ~c:[| 1. |]
+      ~rows:(sparse [| ([| 1. |], -1.) |]) ()
   with
   | Simplex.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible"
@@ -168,7 +173,8 @@ let test_duality_property () =
   let rand = Random.State.make [| 2024 |] in
   for _ = 1 to 300 do
     let c, rows = random_instance rand in
-    check_certificates c rows (Simplex.solve ~engine:!engine ~c ~rows ())
+    check_certificates c rows
+      (Simplex.solve ~engine:!engine ~c ~rows:(sparse rows) ())
   done
 
 (* Mixed-sign generator: rows pass through a known feasible point x0, so
@@ -198,7 +204,8 @@ let test_duality_property_mixed_sign () =
   let rand = Random.State.make [| 77 |] in
   for _ = 1 to 300 do
     let c, rows = random_mixed_instance rand in
-    check_certificates c rows (Simplex.solve ~engine:!engine ~c ~rows ())
+    check_certificates c rows
+      (Simplex.solve ~engine:!engine ~c ~rows:(sparse rows) ())
   done
 
 (* --- Lp builder --- *)
@@ -271,11 +278,107 @@ let test_lp_counts () =
   Alcotest.(check int) "vars" 1 (Lp.var_count p);
   Alcotest.(check int) "constrs" 1 (Lp.constr_count p)
 
+(* --- sparse expansion vs the dense reference ---------------------------- *)
+
+(* How the builder expanded a row before rows became sparse: a dense
+   accumulator summing the terms in order, negated for [>=] (and the
+   second half of [=]). The sparse expansion must reproduce it bit for
+   bit once the solver drops the zeros. *)
+let dense_of_terms nvars terms =
+  let a = Array.make nvars 0.0 in
+  List.iter (fun (coef, v) -> a.(v) <- a.(v) +. coef) terms;
+  a
+
+let reference_rows nvars rows =
+  List.concat_map
+    (fun (sense, terms, b) ->
+      let a = dense_of_terms nvars terms in
+      let negated = (Array.map (fun x -> -.x) a, -.b) in
+      match sense with
+      | `Le -> [ (a, b) ]
+      | `Ge -> [ negated ]
+      | `Eq -> [ (Array.copy a, b); negated ])
+    rows
+  |> Array.of_list
+
+(* Repeated variables, cancelling pairs (x - x), [-0.0] and
+   order-sensitive sums (0.1 + 0.2 + 0.3) in every sense, plus a box row
+   that keeps most instances bounded. *)
+let random_builder_instance rand =
+  let pick a = a.(Random.State.int rand (Array.length a)) in
+  let nvars = 1 + Random.State.int rand 6 in
+  let coefs = [| -0.0; 0.0; 1.0; -1.0; 2.0; 0.5; -3.0; 0.1; 0.2; 0.3 |] in
+  let term () = (pick coefs, Random.State.int rand nvars) in
+  let row () =
+    let terms = List.init (Random.State.int rand 7) (fun _ -> term ()) in
+    let terms =
+      if Random.State.bool rand then
+        let coef, v = term () in
+        ((coef, v) :: terms) @ [ (-.coef, v) ]
+      else terms
+    in
+    (pick [| `Le; `Ge; `Eq |], terms, pick [| -2.0; 0.0; 1.0; 3.0; 7.5 |])
+  in
+  let box = (`Le, List.init nvars (fun j -> (1.0, j)), 20.0) in
+  let rows = box :: List.init (1 + Random.State.int rand 6) (fun _ -> row ()) in
+  let objs =
+    Array.init nvars (fun _ -> Float.of_int (Random.State.int rand 9 - 3))
+  in
+  (Random.State.bool rand, objs, rows)
+
+let test_sparse_expansion_matches_dense () =
+  let rand = Random.State.make [| 1717 |] in
+  let bits = Int64.bits_of_float in
+  for k = 1 to 400 do
+    let minimize, objs, rows = random_builder_instance rand in
+    let nvars = Array.length objs in
+    let p = Lp.create ~minimize () in
+    let vars = Array.map (fun obj -> Lp.add_var p ~obj ()) objs in
+    List.iter
+      (fun (sense, terms, b) ->
+        let terms = List.map (fun (coef, j) -> (coef, vars.(j))) terms in
+        let add =
+          match sense with
+          | `Le -> Lp.add_le
+          | `Ge -> Lp.add_ge
+          | `Eq -> Lp.add_eq
+        in
+        ignore (add p terms b))
+      rows;
+    let sign = if minimize then -1.0 else 1.0 in
+    let reference =
+      Simplex.solve ~engine:Simplex.Revised
+        ~c:(Array.map (fun o -> sign *. o) objs)
+        ~rows:(sparse (reference_rows nvars rows))
+        ()
+    in
+    let what = Printf.sprintf "instance %d" k in
+    match (Lp.solve ~engine:Simplex.Revised p, reference) with
+    | Ok s, Simplex.Optimal r ->
+        Alcotest.(check int64)
+          (what ^ ": objective bits")
+          (bits (sign *. r.Simplex.objective))
+          (bits (Lp.objective_value s));
+        Array.iteri
+          (fun j x ->
+            Alcotest.(check int64)
+              (Printf.sprintf "%s: x%d bits" what j)
+              (bits r.Simplex.primal.(j))
+              (bits (Lp.value s x)))
+          vars
+    | Error Lp.Infeasible, Simplex.Infeasible
+    | Error Lp.Unbounded, Simplex.Unbounded ->
+        ()
+    | _ -> Alcotest.failf "%s: the builder and the reference disagree" what
+  done
+
 let test_pivot_budget () =
   (* max x + y with x <= 1, y <= 1 needs one pivot per variable. *)
   let c = [| 1.0; 1.0 |] in
   let rows = [| ([| 1.0; 0.0 |], 1.0); ([| 0.0; 1.0 |], 1.0) |] in
-  match Simplex.solve ~engine:!engine ~max_pivots:1 ~c ~rows () with
+  match
+    Simplex.solve ~engine:!engine ~max_pivots:1 ~c ~rows:(sparse rows) ()
+  with
   | Simplex.Budget_exhausted d ->
       Alcotest.(check int) "stopped at the budget" 1 d.Simplex.pivots
   | _ -> Alcotest.fail "expected Budget_exhausted"
@@ -321,4 +424,6 @@ let suite =
         t "builder: repeated terms summed" test_lp_repeated_terms;
         t "builder: dual sign for >= in min" test_lp_dual_sign_ge;
         t "builder: counts" test_lp_counts;
+        t "builder: sparse expansion = dense reference, bit for bit"
+          test_sparse_expansion_matches_dense;
       ] )

@@ -223,8 +223,10 @@ let test_simplex_stage_histograms () =
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let c = [| 3.0; 2.0; 4.0 |]
   and rows =
-    [| ([| 1.0; 1.0; 2.0 |], 4.0); ([| 2.0; 0.0; 3.0 |], 5.0);
-       ([| 2.0; 1.0; 3.0 |], 7.0); ([| -1.0; -1.0; -1.0 |], -1.0) |]
+    Array.map
+      (fun (a, b) -> (Qp_lp.Sparse.of_dense a, b))
+      [| ([| 1.0; 1.0; 2.0 |], 4.0); ([| 2.0; 0.0; 3.0 |], 5.0);
+         ([| 2.0; 1.0; 3.0 |], 7.0); ([| -1.0; -1.0; -1.0 |], -1.0) |]
   in
   let stages =
     [ "simplex.btran"; "simplex.ftran"; "simplex.pricing"; "simplex.ratio_test";

@@ -9,6 +9,9 @@
 module Simplex = Qp_lp.Simplex
 module Lp = Qp_lp.Lp
 
+(* The generators below build dense rows; the solver takes sparse ones. *)
+let sparse rows = Array.map (fun (a, b) -> (Qp_lp.Sparse.of_dense a, b)) rows
+
 let checkf = Alcotest.check (Alcotest.float 1e-6)
 
 let outcome_tag = function
@@ -58,8 +61,8 @@ let check_certificates ~label c rows = function
   | _ -> ()
 
 let agree ?(what = "instance") c rows =
-  let revised = Simplex.solve ~engine:Simplex.Revised ~c ~rows () in
-  let dense = Simplex.solve ~engine:Simplex.Dense ~c ~rows () in
+  let solve engine = Simplex.solve ~engine ~c ~rows:(sparse rows) () in
+  let revised = solve Simplex.Revised and dense = solve Simplex.Dense in
   Alcotest.(check string)
     (what ^ ": same outcome constructor")
     (outcome_tag dense) (outcome_tag revised);
@@ -279,7 +282,8 @@ let test_frequent_refactorization () =
   for k = 1 to 60 do
     let c, rows = (if k mod 2 = 0 then gen_mixed else gen_bounded) rand in
     let outcome =
-      Simplex.solve ~engine:Simplex.Revised ~refactor_every:4 ~c ~rows ()
+      Simplex.solve ~engine:Simplex.Revised ~refactor_every:4 ~c
+        ~rows:(sparse rows) ()
     in
     (match outcome with
     | Simplex.Optimal _ | Simplex.Unbounded | Simplex.Infeasible -> ()
@@ -338,7 +342,7 @@ let test_warm_vs_cold_property () =
       for k = 1 to 10 do
         let c0, rows = gen rand in
         let nvars = Array.length c0 and nrows = Array.length rows in
-        let fam = Simplex.prepare ~c:c0 ~rows () in
+        let fam = Simplex.prepare ~c:c0 ~rows:(sparse rows) () in
         let cur_c = Array.copy c0 in
         let cur_b = Array.map snd rows in
         for step = 0 to 5 do
@@ -365,10 +369,12 @@ let test_warm_vs_cold_property () =
           in
           let rows_now = Array.mapi (fun i (a, _) -> (a, cur_b.(i))) rows in
           let cold =
-            Simplex.solve ~engine:Simplex.Revised ~c:cur_c ~rows:rows_now ()
+            Simplex.solve ~engine:Simplex.Revised ~c:cur_c
+              ~rows:(sparse rows_now) ()
           in
           let dense =
-            Simplex.solve ~engine:Simplex.Dense ~c:cur_c ~rows:rows_now ()
+            Simplex.solve ~engine:Simplex.Dense ~c:cur_c
+              ~rows:(sparse rows_now) ()
           in
           Alcotest.(check string)
             (what ^ ": warm = cold constructor")
@@ -475,6 +481,50 @@ let test_stalled_dual_phases_abandoned () =
         (Printf.sprintf "abandoned warm pivots %d < 10000" abandoned)
         true (abandoned < 10_000))
 
+(* --- pivots by phase ------------------------------------------------------ *)
+
+(* The phase counters split "simplex.pivots" without remainder: a cold
+   solve with a negative rhs spends phase-1 pivots, and a warm resolve
+   whose new rhs makes the saved basis infeasible spends dual pivots. *)
+let test_pivots_by_phase () =
+  let counter name =
+    Option.value ~default:0 (List.assoc_opt name (Qp_obs.counters ()))
+  in
+  let c = [| 1.0; 1.0 |]
+  and rows =
+    sparse
+      [| ([| 1.0; 2.0 |], 4.0); ([| 3.0; 1.0 |], 6.0);
+         ([| -1.0; -1.0 |], -1.0) |]
+  in
+  let was = Simplex.warm_starts () in
+  Simplex.set_warm_starts true;
+  Qp_obs.set_enabled true;
+  Qp_obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Simplex.set_warm_starts was;
+      Qp_obs.set_enabled false;
+      Qp_obs.reset ())
+  @@ fun () ->
+  ignore (Simplex.solve ~engine:Simplex.Revised ~c ~rows ());
+  let fam = Simplex.prepare ~c ~rows () in
+  ignore (Simplex.resolve ~engine:Simplex.Revised fam);
+  (* 3x + y <= 1 moves the old optimum (1.6, 1.2) to x = -0.4 *)
+  (match
+     Simplex.resolve ~engine:Simplex.Revised ~rhs:[| 4.0; 1.0; -1.0 |] fam
+   with
+  | Simplex.Optimal s -> checkf "warm optimum" 1.0 s.Simplex.objective
+  | o -> Alcotest.failf "warm resolve: expected optimal, got %s" (outcome_tag o));
+  Alcotest.(check int) "the rhs change was a warm hit" 1
+    (counter "simplex.warm_hit");
+  let phase1 = counter "simplex.phase1_pivots"
+  and phase2 = counter "simplex.phase2_pivots"
+  and dual = counter "simplex.dual_pivots" in
+  Alcotest.(check bool) "phase-1 pivots counted" true (phase1 > 0);
+  Alcotest.(check bool) "dual pivots counted" true (dual > 0);
+  Alcotest.(check int) "phases sum to simplex.pivots"
+    (counter "simplex.pivots") (phase1 + phase2 + dual)
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "simplex-engines",
@@ -494,4 +544,5 @@ let suite =
       t "check mode over warm-started CIP sweeps" test_check_mode_warm_cip;
       t "stalled warm dual phases abandoned, revenue unchanged"
         test_stalled_dual_phases_abandoned;
+      t "pivots by phase sum to simplex.pivots" test_pivots_by_phase;
     ] )

@@ -4,7 +4,8 @@
         bench-simplex bench-warmstart bench-serve docs check-docs \
         check-failwith check-float-sort check-cold-lp check-obs-labels \
         check-snapshot-version check-rel-engines check-lp-engines check-clock \
-        serve-smoke bench-gate perfbench-smoke check examples clean
+        check-json check-bench-profile serve-smoke bench-gate perfbench-smoke \
+        check examples clean
 
 all: build
 
@@ -45,7 +46,7 @@ docs:
 # Every exported value in the market and relational interfaces must
 # carry a doc comment.
 check-docs:
-	ocaml scripts/check_mli_docs.ml lib/market lib/relational lib/obs lib/core lib/experiments lib/fault lib/online lib/serve
+	ocaml scripts/check_mli_docs.ml lib/market lib/relational lib/obs lib/core lib/experiments lib/fault lib/online lib/serve lib/json
 
 # No stringly failures (failwith / Failure catches) in the solver and
 # algorithm layers — see docs/ROBUSTNESS.md.
@@ -111,6 +112,23 @@ check-clock:
 	  echo "check-clock: use Qp_util.Timing.now_s / Timing.time, not Unix.gettimeofday"; exit 1; \
 	fi; echo "check-clock: ok"
 
+# One JSON codec: lib/json (Qp_json) is the only code under lib, bin or
+# bench that prints or parses JSON. A hand-written member (\": inside a
+# string literal) or a private escaper elsewhere fails the check.
+check-json:
+	@if grep -rn --include='*.ml' --include='*.mli' -e '\\":' -e 'json_escape' lib bin bench \
+	  | grep -v '^lib/json/'; then \
+	  echo "check-json: build values with Qp_json and print them with Qp_json.to_string / to_file"; exit 1; \
+	fi; echo "check-json: ok"
+
+# A misspelt QP_BENCH_PROFILE must abort with exit code 2 rather than
+# silently run the Quick profile.
+check-bench-profile:
+	dune build bench/main.exe
+	@QP_BENCH_PROFILE=ful _build/default/bench/main.exe micro >/dev/null 2>&1; \
+	  rc=$$?; [ $$rc -eq 2 ] || { echo "check-bench-profile: QP_BENCH_PROFILE=ful exited $$rc, want 2"; exit 1; }; \
+	  echo "check-bench-profile: QP_BENCH_PROFILE=ful rejected"
+
 # Stand a broker on a temp socket, pull 20 quotes through it, and
 # require each to be bit-identical to the in-process pricing — the
 # serving layer's end-to-end identity gate (see docs/SERVING.md). Then
@@ -152,7 +170,7 @@ perfbench-smoke:
 
 # The full pre-merge gate: build, tests, doc coverage, failure lints,
 # serving smoke, benchmark self-test, perf-regression gate.
-check: build test check-docs check-failwith check-float-sort check-cold-lp check-obs-labels check-snapshot-version check-rel-engines check-lp-engines check-clock serve-smoke perfbench-smoke bench-gate
+check: build test check-docs check-failwith check-float-sort check-cold-lp check-obs-labels check-snapshot-version check-rel-engines check-lp-engines check-clock check-json check-bench-profile serve-smoke perfbench-smoke bench-gate
 
 # Regenerate every table and figure of the paper (Quick profile).
 bench:

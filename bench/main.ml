@@ -34,6 +34,8 @@ module Timing = Qp_util.Timing
 
 (* --- run metadata for BENCH_*.json ----------------------------------- *)
 
+let int n = Qp_json.Num (Float.of_int n)
+
 (* Identifies a benchmark run: without the commit and job count a stored
    BENCH_*.json is not comparable to a fresh one. *)
 let git_commit () =
@@ -57,38 +59,42 @@ let faults_json () =
       "simplex.bland_engaged"; "parallel.task_failures"; "conflict.query_";
       "runner.cell_" ]
   in
-  let has_prefix p s =
-    String.length s >= String.length p && String.sub s 0 (String.length p) = p
-  in
   let counters =
     List.filter
-      (fun (name, _) -> List.exists (fun p -> has_prefix p name) prefixes)
+      (fun (name, _) ->
+        List.exists (fun prefix -> String.starts_with ~prefix name) prefixes)
       (Qp_obs.counters ())
   in
-  let pairs kv l = String.concat ", " (List.map kv l) in
-  Printf.sprintf
-    "\"faults\": { \"specs\": [%s], \"injected\": { %s }, \"counters\": { %s } }"
-    (String.concat ", "
-       (List.map
-          (fun s -> Printf.sprintf "%S" (Qp_fault.describe s))
-          (Qp_fault.specs ())))
-    (pairs (fun (site, n) -> Printf.sprintf "%S: %d" site n)
-       (Qp_fault.injections ()))
-    (pairs (fun (name, n) -> Printf.sprintf "%S: %d" name n) counters)
+  let tally l = Qp_json.Obj (List.map (fun (k, n) -> (k, int n)) l) in
+  let spec s = Qp_json.String (Qp_fault.describe s) in
+  ( "faults",
+    Qp_json.Obj
+      [ ("specs", List (List.map spec (Qp_fault.specs ())));
+        ("injected", tally (Qp_fault.injections ()));
+        ("counters", tally counters) ] )
 
 let meta_json ctx =
   let tm = Unix.gmtime (Unix.time ()) in
-  Printf.sprintf
-    "\"meta\": { \"git_commit\": %S, \"qp_jobs\": %d, \"profile\": %S, \
-     \"timestamp\": \"%04d-%02d-%02dT%02d:%02d:%02dZ\", %s }"
-    (git_commit ())
-    (Qp_util.Parallel.default_jobs ())
-    (match Context.profile ctx with
-    | Qp_experiments.Runner.Quick -> "quick"
-    | Qp_experiments.Runner.Full -> "full")
-    (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
-    tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-    (faults_json ())
+  ( "meta",
+    Qp_json.Obj
+      [ ("git_commit", String (git_commit ()));
+        ("qp_jobs", int (Qp_util.Parallel.default_jobs ()));
+        ("profile",
+         String (if Context.profile ctx = Full then "full" else "quick"));
+        ("timestamp",
+         String
+           (Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ"
+              (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
+              tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec));
+        faults_json () ] )
+
+(* Every BENCH_*.json is one object: the run's "meta" block, then the
+   benchmark's own members. The meta block is built at the write, so its
+   injection tallies cover everything that ran before the file. *)
+let write_bench ctx name fields =
+  let file = "BENCH_" ^ name ^ ".json" in
+  Qp_json.to_file file (Obj (meta_json ctx :: fields));
+  Printf.printf "  wrote %s\n%!" file
 
 let run_experiments ctx entries =
   let fmt = Format.std_formatter in
@@ -176,7 +182,7 @@ let microbenchmarks ctx =
    and writes BENCH_conflict.json. The headline metric is the same-run
    per-query-mean ratio row/columnar at jobs=1 ("speedup_columnar"),
    which is robust on a 1-CPU container where absolute times drift. *)
-let conflict_bench ~meta ctx =
+let conflict_bench ctx =
   let module C = Qp_market.Conflict in
   let module DE = Qp_relational.Delta_eval in
   let jobs_n = max 2 (Qp_util.Parallel.default_jobs ()) in
@@ -231,57 +237,40 @@ let conflict_bench ~meta ctx =
           key s_row.C.elapsed s_col1.C.elapsed speedup_columnar jobs_n
           s_coln.C.elapsed s_coln.C.queries s_coln.C.support
           s_coln.C.fallback_queries;
-        (key, s_row, s_col1, s_coln, s_chk, speedup_columnar,
-         fingerprints_equal))
+        Qp_json.(
+          Obj
+            [ ("workload", String key); ("queries", int s_coln.C.queries);
+              ("support", int s_coln.C.support);
+              ("fallback_queries", int s_coln.C.fallback_queries);
+              ("failed_queries", int (List.length s_coln.C.failed_queries));
+              ("strategies",
+               Obj (List.map (fun (name, n) -> (name, int n)) s_coln.C.strategies));
+              ("row_seconds", Num s_row.C.elapsed);
+              ("row_query_mean", Num (query_mean s_row));
+              ("seconds_jobs_1", Num s_col1.C.elapsed);
+              ("seconds_jobs_n", Num s_coln.C.elapsed);
+              ("speedup", Num (s_col1.C.elapsed /. Float.max 1e-9 s_coln.C.elapsed));
+              ("speedup_columnar", Num speedup_columnar);
+              ("check_seconds", Num s_chk.C.elapsed);
+              ("check_mismatches", int s_chk.C.check_mismatches);
+              ("fingerprints_equal", Bool fingerprints_equal);
+              ("jobs_used", int s_coln.C.jobs);
+              ("worker_busy_seconds",
+               List (List.map (fun t -> Num t) (Array.to_list s_coln.C.worker_busy)));
+              ("query_seconds_mean", Num (query_mean s_col1));
+              ("query_seconds_max",
+               Num (Array.fold_left Float.max 0.0 s_col1.C.query_seconds)) ]))
       WI.keys
   in
-  let oc = open_out "BENCH_conflict.json" in
-  let float_array a =
-    String.concat ", "
-      (Array.to_list (Array.map (Printf.sprintf "%.6f") a))
-  in
-  Printf.fprintf oc "{\n  %s,\n  \"jobs_n\": %d,\n  \"workloads\": [" (meta ())
-    jobs_n;
-  List.iteri
-    (fun i
-         (key, (s_row : C.stats), (s_col1 : C.stats), (s_coln : C.stats),
-          (s_chk : C.stats), speedup_columnar, fingerprints_equal) ->
-      Printf.fprintf oc
-        "%s\n    { \"workload\": %S, \"queries\": %d, \"support\": %d,\n\
-        \      \"fallback_queries\": %d, \"failed_queries\": %d,\n\
-        \      \"strategies\": { %s },\n\
-        \      \"row_seconds\": %.6f, \"row_query_mean\": %.6f,\n\
-        \      \"seconds_jobs_1\": %.6f, \"seconds_jobs_n\": %.6f,\n\
-        \      \"speedup\": %.3f, \"speedup_columnar\": %.3f,\n\
-        \      \"check_seconds\": %.6f, \"check_mismatches\": %d,\n\
-        \      \"fingerprints_equal\": %b, \"jobs_used\": %d,\n\
-        \      \"worker_busy_seconds\": [%s],\n\
-        \      \"query_seconds_mean\": %.6f, \"query_seconds_max\": %.6f }"
-        (if i = 0 then "" else ",")
-        key s_coln.C.queries s_coln.C.support s_coln.C.fallback_queries
-        (List.length s_coln.C.failed_queries)
-        (String.concat ", "
-           (List.map
-              (fun (name, n) -> Printf.sprintf "%S: %d" name n)
-              s_coln.C.strategies))
-        s_row.C.elapsed (query_mean s_row) s_col1.C.elapsed s_coln.C.elapsed
-        (s_col1.C.elapsed /. Float.max 1e-9 s_coln.C.elapsed)
-        speedup_columnar s_chk.C.elapsed s_chk.C.check_mismatches
-        fingerprints_equal s_coln.C.jobs
-        (float_array s_coln.C.worker_busy)
-        (query_mean s_col1)
-        (Array.fold_left Float.max 0.0 s_col1.C.query_seconds))
-    results;
-  Printf.fprintf oc "\n  ]\n}\n";
-  close_out oc;
-  Qp_experiments.Exp_runtime.build_breakdown Format.std_formatter ctx;
-  Printf.printf "  wrote BENCH_conflict.json\n%!"
+  write_bench ctx "conflict"
+    [ ("jobs_n", int jobs_n); ("workloads", List results) ];
+  Qp_experiments.Exp_runtime.build_breakdown Format.std_formatter ctx
 
 (* --- parallel-layer benchmark --------------------------------------- *)
 
 let time f = snd (Timing.time (fun () -> ignore (Sys.opaque_identity (f ()))))
 
-let parallel_bench ~meta ctx =
+let parallel_bench ctx =
   let module Runner = Qp_experiments.Runner in
   let jobs_n = max 2 (Qp_util.Parallel.default_jobs ()) in
   let profile = Context.profile ctx in
@@ -325,24 +314,15 @@ let parallel_bench ~meta ctx =
         Printf.printf "  %-12s jobs=1 %8.3fs   jobs=%d %8.3fs   speedup %.2fx\n%!"
           name t1 jobs_n tn
           (t1 /. Float.max 1e-9 tn);
-        (name, t1, tn))
+        Qp_json.(
+          Obj
+            [ ("name", String name); ("seconds_jobs_1", Num t1);
+              ("seconds_jobs_n", Num tn);
+              ("speedup", Num (t1 /. Float.max 1e-9 tn)) ]))
       [ ("lpip", lpip); ("cip", cip); ("capped", capped); ("runner-cell", cell) ]
   in
-  let oc = open_out "BENCH_parallel.json" in
-  Printf.fprintf oc "{\n  %s,\n  \"jobs\": %d,\n  \"algorithms\": [" (meta ())
-    jobs_n;
-  List.iteri
-    (fun i (name, t1, tn) ->
-      Printf.fprintf oc
-        "%s\n    { \"name\": %S, \"seconds_jobs_1\": %.6f, \
-         \"seconds_jobs_n\": %.6f, \"speedup\": %.3f }"
-        (if i = 0 then "" else ",")
-        name t1 tn
-        (t1 /. Float.max 1e-9 tn))
-    results;
-  Printf.fprintf oc "\n  ]\n}\n";
-  close_out oc;
-  Printf.printf "  wrote BENCH_parallel.json\n%!"
+  write_bench ctx "parallel"
+    [ ("jobs", int jobs_n); ("algorithms", List results) ]
 
 (* --- simplex engine benchmark ----------------------------------------- *)
 
@@ -353,7 +333,7 @@ let parallel_bench ~meta ctx =
    where the dense tableau's O(rows * cols) per pivot loses to pricing
    over sparse columns. The "crossover" reported at the end is the
    smallest benchmarked size at which the revised engine wins. *)
-let simplex_bench ~meta () =
+let simplex_bench ctx =
   let module Simplex = Qp_lp.Simplex in
   (* Feasible at x = 0 (positive rhs), bounded by an all-ones capacity
      row; ~[nnz_per_row] structural nonzeros per row. *)
@@ -433,22 +413,18 @@ let simplex_bench ~meta () =
   (match crossover with
   | Some n -> Printf.printf "  crossover: revised wins from n=%d up\n" n
   | None -> Printf.printf "  crossover: not reached on these sizes\n");
-  let oc = open_out "BENCH_simplex.json" in
-  Printf.fprintf oc "{\n  %s,\n  \"crossover_n\": %s,\n  \"sizes\": ["
-    (meta ())
-    (match crossover with Some n -> string_of_int n | None -> "null");
-  List.iteri
-    (fun i (n, td, tr) ->
-      Printf.fprintf oc
-        "%s\n    { \"n\": %d, \"seconds_dense\": %.6f, \
-         \"seconds_revised\": %.6f, \"speedup\": %.3f }"
-        (if i = 0 then "" else ",")
-        n td tr
-        (td /. Float.max 1e-9 tr))
-    results;
-  Printf.fprintf oc "\n  ]\n}\n";
-  close_out oc;
-  Printf.printf "  wrote BENCH_simplex.json\n%!"
+  write_bench ctx "simplex"
+    Qp_json.
+      [ ("crossover_n", match crossover with Some n -> int n | None -> Null);
+        ("sizes",
+         List
+           (List.map
+              (fun (n, td, tr) ->
+                Obj
+                  [ ("n", int n); ("seconds_dense", Num td);
+                    ("seconds_revised", Num tr);
+                    ("speedup", Num (td /. Float.max 1e-9 tr)) ])
+              results)) ]
 
 (* --- warm-start benchmark ---------------------------------------------- *)
 
@@ -464,7 +440,7 @@ let simplex_bench ~meta () =
    failure class. A final warm-started CIP run under the Check engine
    re-solves every member on the dense oracle and records the mismatch
    count (must be 0: warm starting never changes answers). *)
-let warmstart_bench ~meta ctx =
+let warmstart_bench ctx =
   let module Simplex = Qp_lp.Simplex in
   let inst = Context.instance ctx "skewed" in
   let h =
@@ -547,7 +523,16 @@ let warmstart_bench ~meta ctx =
             (Float.of_int pc /. Float.max 1.0 (Float.of_int pw))
             (tc /. Float.max 1e-9 tw)
             hits misses abandoned;
-          (name, tc, pc, tw, pw, hits, misses, saved, abandoned)
+          Qp_json.(
+            Obj
+              [ ("name", String name); ("seconds_cold", Num tc);
+                ("pivots_cold", int pc); ("seconds_warm", Num tw);
+                ("pivots_warm", int pw);
+                ("pivot_ratio",
+                 Num (Float.of_int pc /. Float.max 1.0 (Float.of_int pw)));
+                ("wall_speedup", Num (tc /. Float.max 1e-9 tw));
+                ("warm_hits", int hits); ("warm_misses", int misses);
+                ("pivots_saved", int saved); ("pivots_abandoned", int abandoned) ])
         in
         let results =
           List.map measure
@@ -562,26 +547,8 @@ let warmstart_bench ~meta ctx =
           mismatches;
         (results, mismatches))
   in
-  let oc = open_out "BENCH_warmstart.json" in
-  Printf.fprintf oc "{\n  %s,\n  \"check_mismatches\": %d,\n  \"families\": ["
-    (meta ()) mismatches;
-  List.iteri
-    (fun i (name, tc, pc, tw, pw, hits, misses, saved, abandoned) ->
-      Printf.fprintf oc
-        "%s\n    { \"name\": %S, \"seconds_cold\": %.6f, \"pivots_cold\": %d,\n\
-        \      \"seconds_warm\": %.6f, \"pivots_warm\": %d,\n\
-        \      \"pivot_ratio\": %.3f, \"wall_speedup\": %.3f,\n\
-        \      \"warm_hits\": %d, \"warm_misses\": %d, \"pivots_saved\": %d,\n\
-        \      \"pivots_abandoned\": %d }"
-        (if i = 0 then "" else ",")
-        name tc pc tw pw
-        (Float.of_int pc /. Float.max 1.0 (Float.of_int pw))
-        (tc /. Float.max 1e-9 tw)
-        hits misses saved abandoned)
-    results;
-  Printf.fprintf oc "\n  ]\n}\n";
-  close_out oc;
-  Printf.printf "  wrote BENCH_warmstart.json\n%!"
+  write_bench ctx "warmstart"
+    [ ("check_mismatches", int mismatches); ("families", List results) ]
 
 (* --- serving-throughput benchmark ------------------------------------- *)
 
@@ -592,7 +559,7 @@ let warmstart_bench ~meta ctx =
    query and compares the served price against the broker's in-process
    oracle bit-for-bit — the latency numbers are only worth keeping if
    the answers are the one-shot answers. *)
-let serve_bench ~meta ctx =
+let serve_bench ctx =
   let module SB = Qp_serve.Broker in
   let module SS = Qp_serve.Server in
   let module SP = Qp_serve.Protocol in
@@ -767,7 +734,12 @@ let serve_bench ~meta ctx =
       clients quotes seconds qps (pct 50.0) (pct 95.0) (pct 99.0)
       runs_per_level
       (if errors = 0 then "" else Printf.sprintf "  (%d errors)" errors);
-    (clients, quotes, errors, seconds, qps, pct 50.0, pct 95.0, pct 99.0)
+    Qp_json.(
+      Obj
+        [ ("clients", int clients); ("quotes", int quotes);
+          ("errors", int errors); ("seconds", Num seconds);
+          ("quotes_per_sec", Num qps); ("p50_ms", Num (pct 50.0));
+          ("p95_ms", Num (pct 95.0)); ("p99_ms", Num (pct 99.0)) ])
   in
   let results = List.map run_level [ 1; 2; 4; 8 ] in
   (* Scrape METRICS and cross-check the broker's view of the session
@@ -832,34 +804,25 @@ let serve_bench ~meta ctx =
   SS.close_client c;
   Atomic.set finished true;
   Domain.join server;
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\n  %s,\n  \"workload\": %S,\n  \"pricing\": %S,\n  \"queries\": %d,\n\
-    \  \"identity_mismatches\": %d,\n  \"precompute_seconds\": %.6f,\n\
-    \  \"snapshot\": { \"bytes\": %d, \"save_ms\": %.3f, \"recovery_ms\": \
-     %.3f,\n    \"recovery_identity_mismatches\": %d },\n\
-    \  \"runs_per_level\": %d,\n\
-    \  \"metrics\": { \"requests_total\": %.0f, \"quotes_total\": %.0f,\n\
-    \    \"counts_consistent\": true,\n\
-    \    \"server_p50_ms\": %.6f, \"server_p95_ms\": %.6f, \"server_p99_ms\": \
-     %.6f },\n\
-    \  \"levels\": ["
-    (meta ()) (SB.workload broker) (SB.pricing_key broker) n
-    identity_mismatches precompute snapshot_bytes snapshot_save_ms recovery_ms
-    recovery_identity_mismatches runs_per_level requests_total quotes_total
-    sp50 sp95 sp99;
-  List.iteri
-    (fun i (clients, quotes, errors, seconds, qps, p50, p95, p99) ->
-      Printf.fprintf oc
-        "%s\n    { \"clients\": %d, \"quotes\": %d, \"errors\": %d,\n\
-        \      \"seconds\": %.6f, \"quotes_per_sec\": %.1f,\n\
-        \      \"p50_ms\": %.6f, \"p95_ms\": %.6f, \"p99_ms\": %.6f }"
-        (if i = 0 then "" else ",")
-        clients quotes errors seconds qps p50 p95 p99)
-    results;
-  Printf.fprintf oc "\n  ]\n}\n";
-  close_out oc;
-  Printf.printf "  wrote BENCH_serve.json\n%!"
+  write_bench ctx "serve"
+    Qp_json.
+      [ ("workload", String (SB.workload broker));
+        ("pricing", String (SB.pricing_key broker)); ("queries", int n);
+        ("identity_mismatches", int identity_mismatches);
+        ("precompute_seconds", Num precompute);
+        ("snapshot",
+         Obj
+           [ ("bytes", int snapshot_bytes); ("save_ms", Num snapshot_save_ms);
+             ("recovery_ms", Num recovery_ms);
+             ("recovery_identity_mismatches", int recovery_identity_mismatches) ]);
+        ("runs_per_level", int runs_per_level);
+        ("metrics",
+         Obj
+           [ ("requests_total", Num requests_total);
+             ("quotes_total", Num quotes_total); ("counts_consistent", Bool true);
+             ("server_p50_ms", Num sp50); ("server_p95_ms", Num sp95);
+             ("server_p99_ms", Num sp99) ]);
+        ("levels", List results) ]
 
 let pseudo_ids =
   [ "micro"; "parallel"; "conflict"; "simplex"; "warmstart"; "serve" ]
@@ -936,9 +899,6 @@ let () =
     | ids -> List.filter_map Registry.find ids
   in
   let ctx = Context.create () in
-  (* Evaluated at each BENCH_*.json write, not once upfront, so the
-     injection tallies reflect everything that ran before the file. *)
-  let meta () = meta_json ctx in
   (match trace with
   | None -> ()
   | Some _ ->
@@ -955,10 +915,10 @@ let () =
             (Qp_obs.span_count ()) path)
     (fun () ->
       if exp_ids <> [] || ids = [] then run_experiments ctx entries;
-      if conflict then conflict_bench ~meta ctx;
-      if par then parallel_bench ~meta ctx;
-      if simplex then simplex_bench ~meta ();
-      if warmstart then warmstart_bench ~meta ctx;
-      if serve then serve_bench ~meta ctx;
+      if conflict then conflict_bench ctx;
+      if par then parallel_bench ctx;
+      if simplex then simplex_bench ctx;
+      if warmstart then warmstart_bench ctx;
+      if serve then serve_bench ctx;
       if micro || ids = [] then microbenchmarks ctx);
   Printf.printf "\nTotal bench time: %.1fs\n" (Timing.now_s () -. t0)

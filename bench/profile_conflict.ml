@@ -11,8 +11,19 @@ module DE = Qp_relational.Delta_eval
 let time = Qp_util.Timing.time
 
 let () =
-  let key = if Array.length Sys.argv > 1 then Sys.argv.(1) else "ssb" in
-  let top = if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 8 in
+  let args = List.tl (Array.to_list Sys.argv) in
+  let key = match args with key :: _ -> key | [] -> "ssb" in
+  let top =
+    match args with [] | [ _ ] -> Some 8 | [ _; n ] -> int_of_string_opt n | _ -> None
+  in
+  let top =
+    match top with
+    | Some n when List.mem key WI.keys -> n
+    | _ ->
+        Printf.eprintf "usage: profile_conflict [%s [TOP-N]]\n"
+          (String.concat "|" WI.keys);
+        exit 2
+  in
   let inst = WI.build key ~seed:42 () in
   let deltas = inst.WI.deltas in
   Printf.printf "%s: %d queries, |S|=%d\n%!" key

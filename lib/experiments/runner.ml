@@ -9,9 +9,14 @@ module Text_table = Qp_util.Text_table
 type profile = Quick | Full
 
 let profile_of_env () =
-  match Sys.getenv_opt "QP_BENCH_PROFILE" with
-  | Some s when String.lowercase_ascii s = "full" -> Full
-  | Some _ | None -> Quick
+  let raw = Option.value (Sys.getenv_opt "QP_BENCH_PROFILE") ~default:"" in
+  match String.lowercase_ascii (String.trim raw) with
+  | "" | "quick" -> Quick
+  | "full" -> Full
+  | _ ->
+      Printf.eprintf "QP_BENCH_PROFILE: unknown value %S (known: quick, full)\n%!"
+        raw;
+      exit 2
 
 let runs = function Quick -> 1 | Full -> 5
 

@@ -6,8 +6,10 @@
 type profile = Quick | Full
 
 val profile_of_env : unit -> profile
-(** Reads [QP_BENCH_PROFILE] ("quick" default, "full" for
-    closer-to-paper settings). *)
+(** Reads [QP_BENCH_PROFILE], trimmed and case-insensitive: "quick"
+    (also when empty or unset) or "full" for closer-to-paper settings.
+    Any other value, such as the typo "ful", prints the accepted list
+    and exits with code 2 rather than silently running [Quick]. *)
 
 val runs : profile -> int
 (** Valuation draws averaged per cell: 1 for [Quick], 5 (the paper's

@@ -397,52 +397,39 @@ let structure () =
 
 (* --- Chrome trace-event export ---------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let arg_json = function
-  | Int n -> string_of_int n
-  | Float f ->
-      if Float.is_finite f then Printf.sprintf "%.17g" f
-      else Printf.sprintf "\"%s\"" (Printf.sprintf "%h" f)
-  | Str s -> "\"" ^ json_escape s ^ "\""
-  | Bool b -> string_of_bool b
-
-let args_json args =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> "\"" ^ json_escape k ^ "\":" ^ arg_json v) args)
-  ^ "}"
+(* A non-finite float has no JSON number; it keeps its %h spelling as a
+   string rather than printing as null. *)
+let arg_json : arg -> Qp_json.t = function
+  | Int n -> Num (Float.of_int n)
+  | Float f when Float.is_finite f -> Num f
+  | Float f -> String (Printf.sprintf "%h" f)
+  | Str s -> String s
+  | Bool b -> Bool b
 
 let to_chrome_lines () =
+  let open Qp_json in
+  let int n = Num (Float.of_int n) in
   let lines = ref [] in
-  let push l = lines := l :: !lines in
-  push
-    "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"qpricing\"}}";
+  let push ph tid fields =
+    let head = [ ("ph", String ph); ("pid", Num 1.0); ("tid", int tid) ] in
+    lines := to_string (Obj (head @ fields)) :: !lines
+  in
+  let args l = ("args", Obj (List.map (fun (k, v) -> (k, arg_json v)) l)) in
+  push "M" 1
+    [ ("name", String "process_name");
+      ("args", Obj [ ("name", String "qpricing") ]) ];
   (* The caller's events are on tid 1; each spliced lane gets the next
      tid in walk order and a thread_name record naming its parent lane,
      which is how Qp_obs_report charges a lane's spans to the span that
-     spawned it. Timestamps are the real ones: spans of concurrent
-     tasks overlap. *)
+     spawned it. Timestamps are the real ones, in microseconds rounded
+     to the nanosecond: spans of concurrent tasks overlap. *)
   let lanes = ref [ 1 ] and next_tid = ref 2 and last = ref 0.0 in
   let span_labels = Hashtbl.create 64 in
   let tid () = List.hd !lanes in
-  let us ts =
+  let us ts = Num (Float.round (ts *. 1e9) /. 1e3) in
+  let ts_field ts =
     last := Float.max !last ts;
-    ts *. 1e6
+    ("ts", us ts)
   in
   let on_lane = function
     | `Enter ->
@@ -450,50 +437,33 @@ let to_chrome_lines () =
         let t = !next_tid in
         incr next_tid;
         lanes := t :: !lanes;
-        push
-          (Printf.sprintf
-             "{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"lane %d\",\"parent\":%d}}"
-             t t parent)
+        let name = String (Printf.sprintf "lane %d" t) in
+        push "M" t
+          [ ("name", String "thread_name");
+            ("args", Obj [ ("name", name); ("parent", int parent) ]) ]
     | `Leave -> lanes := List.tl !lanes
   in
   walk ~on_lane
     (fun ev ->
       match ev with
-      | Span_begin { label; args; ts } ->
+      | Span_begin { label; args = a; ts } ->
           Hashtbl.replace span_labels label ();
-          push
-            (Printf.sprintf
-               "{\"ph\":\"B\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"name\":\"%s\",\"args\":%s}"
-               (tid ()) (us ts) (json_escape label) (args_json args))
-      | Span_end { ts; args } ->
-          push
-            (Printf.sprintf
-               "{\"ph\":\"E\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"args\":%s}"
-               (tid ()) (us ts) (args_json args))
-      | Instant { label; args; ts } ->
-          push
-            (Printf.sprintf
-               "{\"ph\":\"i\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"s\":\"t\",\"name\":\"%s\",\"args\":%s}"
-               (tid ()) (us ts) (json_escape label) (args_json args))
+          push "B" (tid ()) [ ts_field ts; ("name", String label); args a ]
+      | Span_end { ts; args = a } -> push "E" (tid ()) [ ts_field ts; args a ]
+      | Instant { label; args = a; ts } ->
+          push "i" (tid ())
+            [ ts_field ts; ("s", String "t"); ("name", String label); args a ]
       | Lane _ -> ())
     (state ()).cur.events;
-  let final = !last *. 1e6 in
-  List.iter
-    (fun (k, v) ->
-      push
-        (Printf.sprintf
-           "{\"ph\":\"C\",\"pid\":1,\"tid\":1,\"ts\":%.3f,\"name\":\"%s\",\"args\":{\"value\":%d}}"
-           final (json_escape k) v))
-    (counters ());
+  let sample name values =
+    push "C" 1 [ ("ts", us !last); ("name", String name); ("args", Obj values) ]
+  in
+  List.iter (fun (k, v) -> sample k [ ("value", int v) ]) (counters ());
   (* Gauges share the "C" phase with counters; the "kind" arg is what
      lets Qp_obs_report tell them apart (older traces without it are
      read back as counters). *)
   List.iter
-    (fun (k, v) ->
-      push
-        (Printf.sprintf
-           "{\"ph\":\"C\",\"pid\":1,\"tid\":1,\"ts\":%.3f,\"name\":\"%s\",\"args\":{\"value\":%.17g,\"kind\":\"gauge\"}}"
-           final (json_escape k) v))
+    (fun (k, v) -> sample k [ ("value", Num v); ("kind", String "gauge") ])
     (gauges ());
   (* Histograms fed only by [observe_ns] (span labels' histograms repeat
      the span records) travel as "C" samples of their count, tagged
@@ -501,19 +471,14 @@ let to_chrome_lines () =
   List.iter
     (fun (k, (h : Hist.snapshot)) ->
       if h.count > 0 && not (Hashtbl.mem span_labels k) then
-        push
-          (Printf.sprintf
-             "{\"ph\":\"C\",\"pid\":1,\"tid\":1,\"ts\":%.3f,\"name\":\"%s\",\"args\":{\"value\":%d,\"kind\":\"histogram\",\"sum_ns\":%d,\"max_ns\":%d,\"p50_ns\":%.0f,\"p95_ns\":%.0f}}"
-             final (json_escape k) h.count h.sum_ns h.max_ns
-             (Hist.quantile_ns h 50.0) (Hist.quantile_ns h 95.0)))
+        let quantile q = Num (Float.round (Hist.quantile_ns h q)) in
+        sample k
+          [ ("value", int h.count); ("kind", String "histogram");
+            ("sum_ns", int h.sum_ns); ("max_ns", int h.max_ns);
+            ("p50_ns", quantile 50.0); ("p95_ns", quantile 95.0) ])
     (histograms ());
   List.rev !lines
 
 let write_chrome_trace path =
-  let oc = open_out path in
-  List.iter
-    (fun line ->
-      output_string oc line;
-      output_char oc '\n')
-    (to_chrome_lines ());
-  close_out oc
+  Out_channel.with_open_text path (fun oc ->
+      List.iter (fun line -> output_string oc (line ^ "\n")) (to_chrome_lines ()))

@@ -1,209 +1,16 @@
-(* Aggregate a Chrome trace-event JSONL file (written by
-   Qp_obs.write_chrome_trace) into a self-time/total-time table.
+(* Aggregate a Chrome trace-event file (written by
+   Qp_obs.write_chrome_trace, read with Qp_json) into a
+   self-time/total-time table. Both forms of the Chrome format load:
+   JSONL, one record per line, and the JSON array Perfetto wants, whose
+   empty {} records (the array recipe's terminator) are skipped. *)
 
-   The parser below is a minimal JSON reader — the container ships no
-   JSON library, and the trace format is our own output — but it parses
-   full JSON values (nested objects/arrays, escapes, numbers), so a
-   trace annotated by hand or post-processed by other tools still
-   loads. *)
+open Qp_json
 
-(* --- JSON parsing ----------------------------------------------------- *)
+(* A malformed trace; the message names the line or record at fault. *)
+exception Bad_record of string
 
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | String of string
-    | List of t list
-    | Obj of (string * t) list
-
-  exception Parse_error of string
-
-  let parse (s : string) : t =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word value =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (if !pos >= n then fail "unterminated escape");
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-              if !pos + 4 >= n then fail "truncated \\u escape";
-              let hex = String.sub s (!pos + 1) 4 in
-              let code =
-                match int_of_string_opt ("0x" ^ hex) with
-                | Some c -> c
-                | None -> fail "bad \\u escape"
-              in
-              (* Keep it simple: encode the code point as UTF-8 (the
-                 traces we write only escape control characters). *)
-              if code < 0x80 then Buffer.add_char b (Char.chr code)
-              else if code < 0x800 then begin
-                Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-              end
-              else begin
-                Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-              end;
-              pos := !pos + 4
-          | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            fields := (key, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
-          in
-          members ();
-          Obj (List.rev !fields)
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let items = ref [] in
-          let rec elements () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements ();
-          List (List.rev !items)
-        end
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "empty input"
-  in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let member key = function
-    | Obj fields -> List.assoc_opt key fields
-    | _ -> None
-
-  let str j = match j with String s -> Some s | _ -> None
-  let num j = match j with Num f -> Some f | _ -> None
-  let items j = match j with List l -> Some l | _ -> None
-end
-
-(* Internal aliases: re-export the constructors at top level so the
-   aggregation code below reads as before. *)
-type json = Json.t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | String of string
-  | List of json list
-  | Obj of (string * json) list
-
-exception Parse_error = Json.Parse_error
-
-let parse_json = Json.parse
-let field = Json.member
-
-let string_field key j =
-  match field key j with Some (String s) -> Some s | _ -> None
-
-let num_field key j =
-  match field key j with Some (Num f) -> Some f | _ -> None
+let string_field key j = Option.bind (member key j) str
+let num_field key j = Option.bind (member key j) num
 
 (* --- aggregation ------------------------------------------------------- *)
 
@@ -242,7 +49,7 @@ type open_span = {
   mutable children_us : float;
 }
 
-let aggregate lines =
+let aggregate records =
   let acc : (string, int * float * float * float list) Hashtbl.t =
     Hashtbl.create 32
   in
@@ -282,126 +89,103 @@ let aggregate lines =
         Hashtbl.replace acc label (count, total, self -. dur, durs)
     | None -> ()
   in
-  List.iteri
-    (fun lineno line ->
-      let line = String.trim line in
-      if line <> "" && line <> "[" && line <> "]" then begin
-        (* Tolerate the array form of the Chrome format: strip one
-           trailing comma per line. *)
-        let line =
-          if String.length line > 0 && line.[String.length line - 1] = ',' then
-            String.sub line 0 (String.length line - 1)
-          else line
-        in
-        let j =
-          try parse_json line
-          with Parse_error msg ->
-            raise
-              (Parse_error (Printf.sprintf "line %d: %s" (lineno + 1) msg))
-        in
-        let bad msg =
-          raise (Parse_error (Printf.sprintf "line %d: %s" (lineno + 1) msg))
-        in
-        (* Timestamps are what durations are computed from; a missing
-           or non-numeric "ts" on a timing record means the trace is
-           corrupt, so fail loudly rather than silently inventing a
-           duration. Metadata ("M") and final samples ("C") stay
-           lenient. *)
-        let strict_ts () =
-          match field "ts" j with
-          | Some (Num f) ->
-              last_ts := Float.max !last_ts f;
-              f
-          | Some _ -> bad "non-numeric \"ts\""
-          | None -> bad "missing \"ts\""
-        in
-        (match num_field "ts" j with
-        | Some f -> last_ts := Float.max !last_ts f
-        | None -> ());
-        let tid =
-          match num_field "tid" j with Some f -> Float.to_int f | None -> 1
-        in
-        match string_field "ph" j with
-        | Some "B" ->
-            let ts = strict_ts () in
-            saw_record := true;
-            let label = Option.value (string_field "name" j) ~default:"?" in
-            Hashtbl.replace stacks tid
-              ({ olabel = label; ots = ts; children_us = 0.0 } :: stack tid)
-        | Some "E" -> (
-            let ts = strict_ts () in
-            saw_record := true;
-            match stack tid with
-            | [] -> ()  (* unbalanced: ignore rather than fail *)
-            | top :: rest ->
-                let dur = Float.max 0.0 (ts -. top.ots) in
-                record top.olabel dur;
-                Hashtbl.replace stacks tid rest;
-                (match enclosing tid with
-                | Some parent -> parent.children_us <- parent.children_us +. dur
-                | None -> ());
-                (* children time is subtracted from this span's self *)
-                subtract_child top.olabel top.children_us)
-        | Some "X" -> (
-            (* complete events: duration carried inline *)
-            saw_record := true;
-            match field "dur" j with
-            | Some (Num dur) ->
-                let label = Option.value (string_field "name" j) ~default:"?" in
-                record label dur
-            | Some _ -> bad "non-numeric \"dur\""
-            | None -> bad "missing \"dur\"")
-        | Some "i" | Some "I" ->
-            ignore (strict_ts ());
-            saw_record := true;
-            let label = Option.value (string_field "name" j) ~default:"?" in
-            (if not (Hashtbl.mem instants label) then
-               instant_order := label :: !instant_order);
-            Hashtbl.replace instants label
-              (1 + Option.value (Hashtbl.find_opt instants label) ~default:0);
-            (match Option.bind (field "args" j) (string_field "reason") with
-            | Some reason ->
-                let key = (label, reason) in
-                (if not (Hashtbl.mem reasons key) then
-                   reason_order := key :: !reason_order);
-                Hashtbl.replace reasons key
-                  (1 + Option.value (Hashtbl.find_opt reasons key) ~default:0)
-            | None -> ())
-        | Some "C" -> (
-            saw_record := true;
-            let label = Option.value (string_field "name" j) ~default:"?" in
-            match field "args" j with
-            | Some args -> (
-                match num_field "value" args with
-                | Some v ->
-                    let ns key = Option.value (num_field key args) ~default:0.0 in
-                    (match string_field "kind" args with
-                    | Some "histogram" ->
-                        let h =
-                          {
-                            hcount = Float.to_int v;
-                            sum_ns = ns "sum_ns";
-                            max_ns = ns "max_ns";
-                            p50_ns = ns "p50_ns";
-                            p95_ns = ns "p95_ns";
-                          }
-                        in
-                        histograms := (label, h) :: List.remove_assoc label !histograms
-                    | kind ->
-                        let dst = if kind = Some "gauge" then gauges else counters in
-                        dst := (label, v) :: List.remove_assoc label !dst)
-                | None -> ())
-            | None -> ())
-        | Some "M" ->
-            saw_record := true;
-            (match Option.bind (field "args" j) (num_field "parent") with
-            | Some p -> Hashtbl.replace parent_lane tid (Float.to_int p)
-            | None -> ())
-        | Some _ -> saw_record := true
-        | None -> bad "missing \"ph\""
-      end)
-    lines;
-  if not !saw_record then raise (Parse_error "empty trace (no records)");
+  List.iter
+    (fun (where, j) ->
+      let bad msg = raise (Bad_record (where ^ ": " ^ msg)) in
+      (* Timestamps are what durations are computed from; a missing
+         or non-numeric "ts" on a timing record means the trace is
+         corrupt, so fail loudly rather than silently inventing a
+         duration. Metadata ("M") and final samples ("C") stay
+         lenient. *)
+      let strict_ts () =
+        match member "ts" j with
+        | Some (Num f) -> f
+        | Some _ -> bad "non-numeric \"ts\""
+        | None -> bad "missing \"ts\""
+      in
+      (match num_field "ts" j with
+      | Some f -> last_ts := Float.max !last_ts f
+      | None -> ());
+      let tid =
+        match num_field "tid" j with Some f -> Float.to_int f | None -> 1
+      in
+      let label = Option.value (string_field "name" j) ~default:"?" in
+      match string_field "ph" j with
+      | Some "B" ->
+          let ts = strict_ts () in
+          saw_record := true;
+          Hashtbl.replace stacks tid
+            ({ olabel = label; ots = ts; children_us = 0.0 } :: stack tid)
+      | Some "E" -> (
+          let ts = strict_ts () in
+          saw_record := true;
+          match stack tid with
+          | [] -> ()  (* unbalanced: ignore rather than fail *)
+          | top :: rest ->
+              let dur = Float.max 0.0 (ts -. top.ots) in
+              record top.olabel dur;
+              Hashtbl.replace stacks tid rest;
+              (match enclosing tid with
+              | Some parent -> parent.children_us <- parent.children_us +. dur
+              | None -> ());
+              (* children time is subtracted from this span's self *)
+              subtract_child top.olabel top.children_us)
+      | Some "X" -> (
+          (* complete events: duration carried inline *)
+          saw_record := true;
+          match member "dur" j with
+          | Some (Num dur) ->
+              record label dur
+          | Some _ -> bad "non-numeric \"dur\""
+          | None -> bad "missing \"dur\"")
+      | Some "i" | Some "I" ->
+          ignore (strict_ts ());
+          saw_record := true;
+          (if not (Hashtbl.mem instants label) then
+             instant_order := label :: !instant_order);
+          Hashtbl.replace instants label
+            (1 + Option.value (Hashtbl.find_opt instants label) ~default:0);
+          (match Option.bind (member "args" j) (string_field "reason") with
+          | Some reason ->
+              let key = (label, reason) in
+              (if not (Hashtbl.mem reasons key) then
+                 reason_order := key :: !reason_order);
+              Hashtbl.replace reasons key
+                (1 + Option.value (Hashtbl.find_opt reasons key) ~default:0)
+          | None -> ())
+      | Some "C" -> (
+          saw_record := true;
+          match member "args" j with
+          | Some args -> (
+              match num_field "value" args with
+              | Some v ->
+                  let ns key = Option.value (num_field key args) ~default:0.0 in
+                  (match string_field "kind" args with
+                  | Some "histogram" ->
+                      let h =
+                        {
+                          hcount = Float.to_int v;
+                          sum_ns = ns "sum_ns";
+                          max_ns = ns "max_ns";
+                          p50_ns = ns "p50_ns";
+                          p95_ns = ns "p95_ns";
+                        }
+                      in
+                      histograms := (label, h) :: List.remove_assoc label !histograms
+                  | kind ->
+                      let dst = if kind = Some "gauge" then gauges else counters in
+                      dst := (label, v) :: List.remove_assoc label !dst)
+              | None -> ())
+          | None -> ())
+      | Some "M" ->
+          saw_record := true;
+          (match Option.bind (member "args" j) (num_field "parent") with
+          | Some p -> Hashtbl.replace parent_lane tid (Float.to_int p)
+          | None -> ())
+      | Some _ -> saw_record := true
+      | None -> bad "missing \"ph\"")
+    records;
+  if not !saw_record then raise (Bad_record "empty trace (no records)");
   let spans =
     List.rev_map
       (fun label ->
@@ -432,19 +216,32 @@ let aggregate lines =
     total_us = !last_ts;
   }
 
+(* A file whose first non-blank byte is '[' is one JSON array;
+   anything else is JSONL, parsed line by line so that an error names
+   its line. *)
+let records text =
+  let parse_at where s =
+    match parse s with Ok j -> j | Error msg -> raise (Bad_record (where ^ ": " ^ msg))
+  in
+  let numbered name l =
+    List.mapi (fun i x -> (Printf.sprintf "%s %d" name (i + 1), x)) l
+  in
+  let trimmed = String.trim text in
+  if String.starts_with ~prefix:"[" trimmed then
+    parse_at "array" trimmed |> items |> Option.value ~default:[]
+    |> numbered "record"
+    |> List.filter (fun (_, j) -> j <> Obj [])
+  else
+    String.split_on_char '\n' text |> numbered "line"
+    |> List.filter (fun (_, line) -> String.trim line <> "")
+    |> List.map (fun (where, line) -> (where, parse_at where line))
+
 let of_file path =
-  match open_in path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | ic ->
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> close_in ic);
-      (try Ok (aggregate (List.rev !lines)) with
-      | Parse_error msg -> Error (path ^ ": " ^ msg)
-      | exn -> Error (path ^ ": " ^ Printexc.to_string exn))
+  | text -> (
+      try Ok (aggregate (records text)) with
+      | Bad_record msg -> Error (path ^ ": " ^ msg))
 
 let spans t = t.spans
 let counters t = t.counters

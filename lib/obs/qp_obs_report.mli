@@ -1,45 +1,11 @@
 (** Offline aggregation of {!Qp_obs} trace files.
 
-    Reads the Chrome trace-event JSONL written by
-    {!Qp_obs.write_chrome_trace} (tolerating the array form of the
-    Chrome format) and renders a self-time/total-time table per span
+    Reads the Chrome trace-event file written by
+    {!Qp_obs.write_chrome_trace} — JSONL, or the JSON array form that
+    Perfetto loads — and renders a self-time/total-time table per span
     label with a nearest-rank latency summary (p50/p95/max), a duration
     histogram for the hottest label, and the final counter and
     instant-event totals — the [qpricing report] subcommand. *)
-
-(** Minimal JSON reader shared by the trace aggregator and the bench
-    tooling ([scripts/bench_diff.ml]) — the container ships no JSON
-    library. Parses full JSON values (nested objects/arrays, escapes,
-    numbers). *)
-module Json : sig
-  (** A parsed JSON value. *)
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | String of string
-    | List of t list
-    | Obj of (string * t) list
-
-  exception Parse_error of string
-  (** Raised by {!parse} on malformed input, with an offset message. *)
-
-  val parse : string -> t
-  (** Parse one complete JSON value (leading/trailing whitespace
-      allowed). @raise Parse_error on malformed input. *)
-
-  val member : string -> t -> t option
-  (** [member key j] is the field [key] of object [j], if any. *)
-
-  val str : t -> string option
-  (** The payload of a [String], if [j] is one. *)
-
-  val num : t -> float option
-  (** The payload of a [Num], if [j] is one. *)
-
-  val items : t -> t list option
-  (** The elements of a [List], if [j] is one. *)
-end
 
 type t
 (** An aggregated trace. *)
@@ -55,11 +21,13 @@ type span_stat = {
 }
 
 val of_file : string -> (t, string) result
-(** Parse and aggregate a trace file. Always returns [Error _] — never
-    raises — on malformed input: unreadable files, truncated JSONL,
-    records with missing or non-numeric timestamps/durations, and
-    empty traces (no records at all) all carry a message naming the
-    offending line. *)
+(** Parse and aggregate a trace file: one JSON array of records
+    (empty [{}] records skipped) when its first non-blank byte is
+    ['['], JSONL otherwise. Always returns [Error _] — never raises — on
+    malformed input: unreadable files, truncated JSONL, records with
+    missing or non-numeric timestamps/durations, and empty traces (no
+    records at all) all carry a message naming the offending line or
+    record. *)
 
 val spans : t -> span_stat list
 (** Aggregates per span label, in first-seen order. *)

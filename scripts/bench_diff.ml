@@ -38,7 +38,7 @@
    Set QP_BENCH_GATE=off to skip the gate entirely (e.g. on a machine
    too slow to hold even the loose throughput floor). *)
 
-module Json = Qp_obs_report.Json
+module Json = Qp_json
 
 let failures = ref 0
 
@@ -51,12 +51,7 @@ let fail fmt =
 
 let ok fmt = Printf.ksprintf (fun msg -> Printf.printf "gate ok    %s\n" msg) fmt
 
-let read_json path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  Json.parse s
+let read_json path = Json.parse (In_channel.with_open_bin path In_channel.input_all)
 
 (* Field accessors that turn a missing/mistyped field into a gate
    failure rather than an exception: a malformed bench file should read
@@ -325,9 +320,9 @@ let compare_pair name check ~baseline_dir ~current_dir =
   let bpath = Filename.concat baseline_dir file in
   let cpath = Filename.concat current_dir file in
   match (read_json bpath, read_json cpath) with
-  | baseline, current -> check ~baseline ~current
+  | Ok baseline, Ok current -> check ~baseline ~current
+  | Error e, _ | _, Error e -> fail "%s: malformed JSON: %s" file e
   | exception Sys_error e -> fail "%s: %s" file e
-  | exception Json.Parse_error e -> fail "%s: malformed JSON: %s" file e
 
 let () =
   (match Sys.getenv_opt "QP_BENCH_GATE" with

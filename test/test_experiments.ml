@@ -130,6 +130,10 @@ let test_profile_of_env () =
   Alcotest.(check bool) "quick default" true (Runner.profile_of_env () = Runner.Quick);
   Unix.putenv "QP_BENCH_PROFILE" "full";
   Alcotest.(check bool) "full" true (Runner.profile_of_env () = Runner.Full);
+  Unix.putenv "QP_BENCH_PROFILE" " Full ";
+  Alcotest.(check bool) "trimmed, any case" true (Runner.profile_of_env () = Runner.Full);
+  Unix.putenv "QP_BENCH_PROFILE" "QUICK";
+  Alcotest.(check bool) "quick by name" true (Runner.profile_of_env () = Runner.Quick);
   Unix.putenv "QP_BENCH_PROFILE" ""
 
 (* Integration: on a tiny end-to-end instance, every algorithm's output

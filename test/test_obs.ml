@@ -169,7 +169,29 @@ let test_report_round_trip () =
         (List.mem_assoc "simplex.solves" (Report.counters t));
       let rendered = Report.render t in
       Alcotest.(check bool) "table mentions self ms" true
-        (contains rendered "self ms")
+        (contains rendered "self ms");
+      (* The array form docs/OBSERVABILITY.md builds for Perfetto:
+         (echo '['; sed 's/$/,/' t.jsonl; echo '{}]') loads the same. *)
+      let wrapped = Filename.temp_file "qp_obs_test" ".json" in
+      Fun.protect ~finally:(fun () -> Sys.remove wrapped) @@ fun () ->
+      let jsonl = In_channel.with_open_bin path In_channel.input_all in
+      Out_channel.with_open_bin wrapped (fun oc ->
+          output_string oc "[\n";
+          List.iter
+            (fun line -> if line <> "" then output_string oc (line ^ ",\n"))
+            (String.split_on_char '\n' jsonl);
+          output_string oc "{}]\n");
+      match Report.of_file wrapped with
+      | Error msg -> Alcotest.failf "report failed to parse the array form: %s" msg
+      | Ok a ->
+          let spans t =
+            List.map (fun s -> (s.Report.label, s.Report.count, s.Report.total_us))
+              (Report.spans t)
+          in
+          Alcotest.(check (list (triple string int (float 0.0))))
+            "array form: same spans" (spans t) (spans a);
+          Alcotest.(check (list (pair string (float 0.0))))
+            "array form: same counters" (Report.counters t) (Report.counters a)
 
 (* Spliced task buffers are written on lanes of their own, with their
    real timestamps: two tasks that ran side by side on the pool each

@@ -4,7 +4,7 @@
         bench-simplex bench-warmstart bench-serve docs check-docs \
         check-failwith check-float-sort check-cold-lp check-obs-labels \
         check-snapshot-version check-rel-engines check-lp-engines check-clock \
-        check-json check-bench-profile serve-smoke bench-gate perfbench-smoke \
+        check-json check-env serve-smoke bench-gate perfbench-smoke \
         check examples clean
 
 all: build
@@ -46,7 +46,7 @@ docs:
 # Every exported value in the market and relational interfaces must
 # carry a doc comment.
 check-docs:
-	ocaml scripts/check_mli_docs.ml lib/market lib/relational lib/obs lib/core lib/experiments lib/fault lib/online lib/serve lib/json
+	ocaml scripts/check_mli_docs.ml lib/market lib/relational lib/obs lib/core lib/experiments lib/fault lib/online lib/serve lib/json lib/switch
 
 # No stringly failures (failwith / Failure catches) in the solver and
 # algorithm layers — see docs/ROBUSTNESS.md.
@@ -88,14 +88,9 @@ check-rel-engines:
 # --lp-engine check — every LP the cell solves (the cell's algorithms
 # fanned out over the pool, warm-started sweeps included) is re-solved
 # on the dense tableau oracle — and fail on any engine disagreement.
-# First, a misspelt QP_LP_WARMSTART must abort with exit code 2 rather
-# than silently leave warm starts on.
 LP_CHECK_WORKLOADS = skewed uniform tpch ssb
 check-lp-engines:
 	dune build bin/qpricing.exe
-	@QP_LP_WARMSTART=of _build/default/bin/qpricing.exe run skewed --scale tiny >/dev/null 2>&1; \
-	  rc=$$?; [ $$rc -eq 2 ] || { echo "check-lp-engines: QP_LP_WARMSTART=of exited $$rc, want 2"; exit 1; }; \
-	  echo "check-lp-engines: QP_LP_WARMSTART=of rejected"
 	@for w in $(LP_CHECK_WORKLOADS); do \
 	  out=$$(_build/default/bin/qpricing.exe run $$w --scale tiny -j 2 --lp-engine check 2>&1) \
 	    || { echo "$$out"; echo "check-lp-engines: $$w failed"; exit 1; }; \
@@ -121,13 +116,35 @@ check-json:
 	  echo "check-json: build values with Qp_json and print them with Qp_json.to_string / to_file"; exit 1; \
 	fi; echo "check-json: ok"
 
-# A misspelt QP_BENCH_PROFILE must abort with exit code 2 rather than
-# silently run the Quick profile.
-check-bench-profile:
-	dune build bench/main.exe
-	@QP_BENCH_PROFILE=ful _build/default/bench/main.exe micro >/dev/null 2>&1; \
-	  rc=$$?; [ $$rc -eq 2 ] || { echo "check-bench-profile: QP_BENCH_PROFILE=ful exited $$rc, want 2"; exit 1; }; \
-	  echo "check-bench-profile: QP_BENCH_PROFILE=ful rejected"
+# One switch parser (lib/switch, Qp_switch): a one-letter typo in any
+# QP_* variable must exit 2 with a message naming the variable, never
+# silently mean the default — each case is VAR=TYPO and the program that
+# reads it — and no code under lib, bin, bench or scripts outside
+# lib/switch may read the environment itself.
+ENV_TYPO_CASES = \
+  "QP_LP_WARMSTART=of qpricing" "QP_BENCH_PROFILE=ful bench" \
+  "QP_JOBS=1o qpricing" "QP_LP_ENGINE=dence qpricing" \
+  "QP_REL_ENGINE=rov qpricing" "QP_FAULTS=simplex.pivat:fail qpricing" \
+  "QP_BENCH_GATE=of bench_diff"
+check-env:
+	dune build bin/qpricing.exe bench/main.exe scripts/bench_diff.exe
+	@if grep -rn --include='*.ml' --include='*.mli' -e 'Sys.getenv' -e 'Unix.getenv' \
+	    lib bin bench scripts | grep -v '^lib/switch/'; then \
+	  echo "check-env: declare a Qp_switch next to the code it steers instead"; exit 1; \
+	fi
+	@for c in $(ENV_TYPO_CASES); do \
+	  set -- $$c; var=$${1%%=*}; \
+	  case $$2 in \
+	    qpricing) cmd="_build/default/bin/qpricing.exe run skewed --scale tiny";; \
+	    bench) cmd="_build/default/bench/main.exe micro";; \
+	    bench_diff) cmd="_build/default/scripts/bench_diff.exe";; \
+	  esac; \
+	  err=$$(env "$$1" $$cmd 2>&1 >/dev/null); rc=$$?; \
+	  [ $$rc -eq 2 ] || { echo "check-env: $$1 $$2 exited $$rc, want 2"; exit 1; }; \
+	  case "$$err" in *"$$var"*) ;; \
+	    *) echo "check-env: $$1 $$2 does not name $$var: $$err"; exit 1;; esac; \
+	  echo "check-env: $$1 rejected by $$2"; \
+	done
 
 # Stand a broker on a temp socket, pull 20 quotes through it, and
 # require each to be bit-identical to the in-process pricing — the
@@ -153,9 +170,10 @@ serve-smoke:
 # metrics — simplex crossover, warm-start pivot savings, serve
 # throughput and identity — against the committed bench/baselines/.
 # Exit 1 on a regression past the thresholds in scripts/bench_diff.ml;
-# QP_BENCH_GATE=off skips the whole gate (benchmarks included).
+# QP_BENCH_GATE=off skips the whole gate (benchmarks included), read by
+# the Qp_switch rule: trimmed, any case.
 bench-gate:
-ifeq ($(QP_BENCH_GATE),off)
+ifeq ($(strip $(shell echo '$(QP_BENCH_GATE)' | tr A-Z a-z)),off)
 	@echo "bench gate: skipped (QP_BENCH_GATE=off) — benchmarks not run"
 else
 	dune exec bench/main.exe -- simplex warmstart serve conflict
@@ -170,7 +188,7 @@ perfbench-smoke:
 
 # The full pre-merge gate: build, tests, doc coverage, failure lints,
 # serving smoke, benchmark self-test, perf-regression gate.
-check: build test check-docs check-failwith check-float-sort check-cold-lp check-obs-labels check-snapshot-version check-rel-engines check-lp-engines check-clock check-json check-bench-profile serve-smoke perfbench-smoke bench-gate
+check: build test check-docs check-failwith check-float-sort check-cold-lp check-obs-labels check-snapshot-version check-rel-engines check-lp-engines check-clock check-json check-env serve-smoke perfbench-smoke bench-gate
 
 # Regenerate every table and figure of the paper (Quick profile).
 bench:

@@ -16,9 +16,8 @@
    the CIP/LPIP sweeps cold vs warm-started and writes
    BENCH_warmstart.json. Unknown ids abort
    upfront (exit 2) with the list of valid experiment and pseudo ids.
-   --jobs N sets QP_JOBS for the whole process; --lp-engine selects the
-   simplex engine (dense, revised or check) for everything that runs;
-   --trace FILE records the whole run as Chrome
+   --jobs N overrides QP_JOBS and --lp-engine E overrides QP_LP_ENGINE
+   for the whole process; --trace FILE records the whole run as Chrome
    trace-event JSONL (aggregate with 'qpricing report'). Every
    BENCH_*.json carries a "meta" block (git commit, QP_JOBS, profile,
    UTC timestamp) identifying the run. QP_BENCH_PROFILE=full switches
@@ -498,16 +497,16 @@ let warmstart_bench ctx =
   let results, mismatches =
     Fun.protect
       ~finally:(fun () ->
-        Simplex.set_warm_starts warm_was;
+        Qp_switch.set Simplex.warm_switch warm_was;
         Qp_obs.set_enabled obs_was)
       (fun () ->
         Qp_obs.set_enabled true;
         let measure (name, f) =
-          Simplex.set_warm_starts false;
+          Qp_switch.set Simplex.warm_switch false;
           Qp_obs.reset ();
           let tc = time f in
           let pc = counter "simplex.pivots" in
-          Simplex.set_warm_starts true;
+          Qp_switch.set Simplex.warm_switch true;
           Qp_obs.reset ();
           let tw = time f in
           let pw = counter "simplex.pivots" in
@@ -539,7 +538,7 @@ let warmstart_bench ctx =
             [ ("cip", cip); ("lpip", lpip); ("lpip-uniform", lpip_uniform) ]
         in
         (* correctness sentinel: warm-started CIP under the Check engine *)
-        Simplex.set_warm_starts true;
+        Qp_switch.set Simplex.warm_switch true;
         Simplex.reset_cross_check_mismatches ();
         Simplex.with_engine Simplex.Check cip;
         let mismatches = Simplex.cross_check_mismatches () in
@@ -828,48 +827,29 @@ let pseudo_ids =
   [ "micro"; "parallel"; "conflict"; "simplex"; "warmstart"; "serve" ]
 
 let () =
-  let rec parse jobs trace lp_engine ids = function
-    | [] -> (jobs, trace, lp_engine, List.rev ids)
-    | "--jobs" :: n :: rest -> parse (Some n) trace lp_engine ids rest
-    | arg :: rest
-      when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" ->
-        parse
-          (Some (String.sub arg 7 (String.length arg - 7)))
-          trace lp_engine ids rest
-    | "--trace" :: file :: rest -> parse jobs (Some file) lp_engine ids rest
-    | arg :: rest
-      when String.length arg > 8 && String.sub arg 0 8 = "--trace=" ->
-        parse jobs
-          (Some (String.sub arg 8 (String.length arg - 8)))
-          lp_engine ids rest
-    | "--lp-engine" :: name :: rest -> parse jobs trace (Some name) ids rest
-    | arg :: rest
-      when String.length arg > 12 && String.sub arg 0 12 = "--lp-engine=" ->
-        parse jobs trace
-          (Some (String.sub arg 12 (String.length arg - 12)))
-          ids rest
-    | arg :: rest -> parse jobs trace lp_engine (arg :: ids) rest
+  (* Each flag takes its value as the next argument or after "=". *)
+  let trace = ref None in
+  let flags =
+    [ ("--jobs", Qp_switch.set_flag Qp_util.Parallel.jobs_switch "--jobs");
+      ("--lp-engine",
+       Qp_switch.set_flag Qp_lp.Simplex.engine_switch "--lp-engine");
+      ("--trace", fun file -> trace := Some file) ]
   in
-  let jobs, trace, lp_engine, ids =
-    parse None None None [] (List.tl (Array.to_list Sys.argv))
+  let rec parse ids = function
+    | [] -> List.rev ids
+    | flag :: value :: rest when List.mem_assoc flag flags ->
+        List.assoc flag flags value;
+        parse ids rest
+    | arg :: rest -> (
+        match String.index_opt arg '=' with
+        | Some i when List.mem_assoc (String.sub arg 0 i) flags ->
+            List.assoc (String.sub arg 0 i) flags
+              (String.sub arg (i + 1) (String.length arg - i - 1));
+            parse ids rest
+        | _ -> parse (arg :: ids) rest)
   in
-  (match jobs with
-  | None -> ()
-  | Some n -> (
-      match int_of_string_opt n with
-      | Some j when j >= 1 -> Unix.putenv "QP_JOBS" (string_of_int j)
-      | Some _ | None ->
-          Printf.eprintf "bad --jobs value %S (want a positive integer)\n" n;
-          exit 2));
-  (match lp_engine with
-  | None -> ()
-  | Some name -> (
-      match Qp_lp.Simplex.engine_of_string name with
-      | Some e -> Qp_lp.Simplex.set_default_engine e
-      | None ->
-          Printf.eprintf
-            "bad --lp-engine value %S (want dense, revised or check)\n" name;
-          exit 2));
+  let ids = parse [] (List.tl (Array.to_list Sys.argv)) in
+  let trace = !trace in
   (* "micro", "parallel" and "conflict" are pseudo-ids, usable alongside
      real ones. Every id is validated before anything runs, so a typo
      fails fast instead of after hours of benchmarks. *)

@@ -47,24 +47,26 @@ let scale_arg =
   Arg.(value & opt (enum [ ("default", WI.Default); ("tiny", WI.Tiny) ]) WI.Default
        & info [ "scale" ] ~doc)
 
+(* The flag twin of an environment switch: given, it overrides the
+   variable for the whole process, and a bad value exits 2 like the
+   variable's; the switch itself is read where it steers. *)
+let switch_flag sw names ~docv ~doc =
+  let doc = Printf.sprintf "%s Overrides %s." doc (Qp_switch.name sw) in
+  Term.(
+    const (Option.iter (Qp_switch.set_flag sw ("--" ^ List.hd names)))
+    $ Arg.(value & opt (some string) None & info names ~docv ~doc))
+
 let profile_arg =
-  let doc = "Benchmark profile: quick or full (paper-like settings)." in
-  Arg.(value & opt (enum [ ("quick", Runner.Quick); ("full", Runner.Full) ]) Runner.Quick
-       & info [ "profile" ] ~doc)
+  Term.(
+    const Runner.profile_of_env
+    $ switch_flag Runner.profile_switch [ "profile" ] ~docv:"PROFILE"
+        ~doc:"Benchmark profile: quick (the default) or full (paper-like \
+              settings).")
 
 let jobs_arg =
-  let doc =
-    "Worker-pool size for the parallel solvers (sets QP_JOBS; default: \
-     one less than the number of cores)."
-  in
-  Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let set_jobs = function
-  | Some j when j >= 1 -> Unix.putenv "QP_JOBS" (string_of_int j)
-  | Some j ->
-      Printf.eprintf "--jobs must be >= 1 (got %d)\n" j;
-      exit 2
-  | None -> ()
+  switch_flag Qp_util.Parallel.jobs_switch [ "jobs"; "j" ] ~docv:"N"
+    ~doc:"Worker-pool size for the parallel solvers (default: one less \
+          than the number of cores)."
 
 let trace_arg =
   let doc =
@@ -94,44 +96,17 @@ let set_injections specs =
     specs
 
 let lp_engine_arg =
-  let doc =
-    "Simplex engine: revised (sparse, the default), dense (the reference \
-     tableau) or check (solve every LP with both and count disagreements). \
-     Overrides QP_LP_ENGINE."
-  in
-  let parse s =
-    match Qp_lp.Simplex.engine_of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg "expected dense, revised or check")
-  in
-  let print fmt e = Format.pp_print_string fmt (Qp_lp.Simplex.engine_name e) in
-  Arg.(value & opt (some (conv (parse, print))) None
-       & info [ "lp-engine" ] ~docv:"ENGINE" ~doc)
-
-let set_lp_engine = function
-  | Some e -> Qp_lp.Simplex.set_default_engine e
-  | None -> ()
+  switch_flag Qp_lp.Simplex.engine_switch [ "lp-engine" ] ~docv:"ENGINE"
+    ~doc:"Simplex engine: revised (sparse, the default), dense (the \
+          reference tableau) or check (solve every LP with both and count \
+          disagreements)."
 
 let rel_engine_arg =
-  let doc =
-    "Relational engine: columnar (vectorized, the default), row (the \
-     reference row-at-a-time evaluator) or check (answer every delta with \
-     both and count disagreements). Overrides QP_REL_ENGINE."
-  in
-  let parse s =
-    match Qp_relational.Delta_eval.engine_of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg "expected row, columnar or check")
-  in
-  let print fmt e =
-    Format.pp_print_string fmt (Qp_relational.Delta_eval.engine_name e)
-  in
-  Arg.(value & opt (some (conv (parse, print))) None
-       & info [ "rel-engine" ] ~docv:"ENGINE" ~doc)
-
-let set_rel_engine = function
-  | Some e -> Qp_relational.Delta_eval.set_default_engine e
-  | None -> ()
+  switch_flag Qp_relational.Delta_eval.engine_switch [ "rel-engine" ]
+    ~docv:"ENGINE"
+    ~doc:"Relational engine: columnar (vectorized, the default), row (the \
+          reference row-at-a-time evaluator) or check (answer every delta \
+          with both and count disagreements)."
 
 (* When check mode found disagreements, say so on exit: the whole point
    of the mode is to make them impossible to miss. *)
@@ -220,8 +195,7 @@ let list_cmd =
 (* --- inspect ---------------------------------------------------------- *)
 
 let inspect_cmd =
-  let run workload scale support seed jobs inject trace =
-    set_jobs jobs;
+  let run workload scale support seed () inject trace =
     set_injections inject;
     with_trace trace @@ fun () ->
     let inst = build_instance workload scale support seed in
@@ -254,12 +228,9 @@ let price_cmd =
     Arg.(value & opt (enum keys) "all"
          & info [ "algorithm"; "a" ] ~doc:"Algorithm key, or 'all'.")
   in
-  let run workload scale support seed model algorithm profile jobs inject
-      lp_engine rel_engine trace =
-    set_jobs jobs;
+  let run workload scale support seed model algorithm profile () inject () ()
+      trace =
     set_injections inject;
-    set_lp_engine lp_engine;
-    set_rel_engine rel_engine;
     Fun.protect ~finally:report_cross_check @@ fun () ->
     with_trace trace @@ fun () ->
     let inst = build_instance workload scale support seed in
@@ -297,12 +268,8 @@ let price_cmd =
 (* --- run: one full benchmark cell ------------------------------------ *)
 
 let run_cmd =
-  let run workload scale support seed model profile jobs inject lp_engine
-      rel_engine trace =
-    set_jobs jobs;
+  let run workload scale support seed model profile () inject () () trace =
     set_injections inject;
-    set_lp_engine lp_engine;
-    set_rel_engine rel_engine;
     Fun.protect ~finally:report_cross_check @@ fun () ->
     with_trace trace @@ fun () ->
     let inst = build_instance workload scale support seed in
@@ -409,12 +376,10 @@ let quote_cmd =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"SQL" ~doc:"Query to price (the workload dialect).")
   in
-  let run workload seed lp_engine rel_engine sql =
-    set_lp_engine lp_engine;
-    set_rel_engine rel_engine;
+  let run workload seed () () sql =
     let broker =
       SB.create ~scale:WI.Tiny ~workload ~model:default_model
-        ~pricing:default_pricing ~seed ()
+        ~pricing:default_pricing ~profile:(Runner.profile_of_env ()) ~seed ()
     in
     match SB.quote_sql broker sql with
     | Ok q -> print_endline (SP.print_response (SP.Quote_reply q))
@@ -553,8 +518,7 @@ let serve_cmd =
   in
   let run workload scale support seed model pricing profile socket tcp
       max_requests smoke snapshot max_conns idle_timeout write_deadline
-      high_water jobs inject trace =
-    set_jobs jobs;
+      high_water () inject trace =
     set_injections inject;
     with_trace trace @@ fun () ->
     let listen =
@@ -835,11 +799,8 @@ let experiment_cmd =
   let ids_arg =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids.")
   in
-  let run ids profile seed jobs inject lp_engine rel_engine trace =
-    set_jobs jobs;
+  let run ids profile seed () inject () () trace =
     set_injections inject;
-    set_lp_engine lp_engine;
-    set_rel_engine rel_engine;
     Fun.protect ~finally:report_cross_check @@ fun () ->
     with_trace trace @@ fun () ->
     let ctx = Context.create ~profile ~seed () in

@@ -8,15 +8,12 @@ module Text_table = Qp_util.Text_table
 
 type profile = Quick | Full
 
-let profile_of_env () =
-  let raw = Option.value (Sys.getenv_opt "QP_BENCH_PROFILE") ~default:"" in
-  match String.lowercase_ascii (String.trim raw) with
-  | "" | "quick" -> Quick
-  | "full" -> Full
-  | _ ->
-      Printf.eprintf "QP_BENCH_PROFILE: unknown value %S (known: quick, full)\n%!"
-        raw;
-      exit 2
+let profile_switch =
+  Qp_switch.declare "QP_BENCH_PROFILE"
+    (Choice [ ([ "quick" ], Quick); ([ "full" ], Full) ])
+    ~default:Quick
+
+let profile_of_env () = Qp_switch.get profile_switch
 
 let runs = function Quick -> 1 | Full -> 5
 

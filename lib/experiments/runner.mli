@@ -5,11 +5,12 @@
 
 type profile = Quick | Full
 
+val profile_switch : profile Qp_switch.t
+(** [QP_BENCH_PROFILE] and its [--profile] twin: [quick] (the default)
+    or [full] for closer-to-paper settings; the typo [ful] exits 2. *)
+
 val profile_of_env : unit -> profile
-(** Reads [QP_BENCH_PROFILE], trimmed and case-insensitive: "quick"
-    (also when empty or unset) or "full" for closer-to-paper settings.
-    Any other value, such as the typo "ful", prints the accepted list
-    and exits with code 2 rather than silently running [Quick]. *)
+(** [Qp_switch.get profile_switch], read on every call. *)
 
 val runs : profile -> int
 (** Valuation draws averaged per cell: 1 for [Quick], 5 (the paper's

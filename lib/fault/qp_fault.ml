@@ -224,15 +224,11 @@ let maybe_fail ?attempt ~key site =
     | None -> ()
     | Some _ -> raise (Injected site)
 
-(* Arm from the environment at load time, so QP_FAULTS reaches every
-   binary without per-binary wiring. A malformed spec aborts: silently
-   running a chaos experiment with no chaos is the worst failure mode. *)
-let () =
-  match Sys.getenv_opt "QP_FAULTS" with
-  | None | Some "" -> ()
-  | Some str -> (
-      match parse str with
-      | Ok specs -> install specs
-      | Error msg ->
-          Printf.eprintf "QP_FAULTS: %s\n%!" msg;
-          exit 2)
+(* Armed at load time, so QP_FAULTS reaches every binary without
+   per-binary wiring. *)
+let switch =
+  Qp_switch.declare "QP_FAULTS"
+    (Custom (parse, fun specs -> String.concat ", " (List.map describe specs)))
+    ~default:[]
+
+let () = install (Qp_switch.get switch)

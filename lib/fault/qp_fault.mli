@@ -11,10 +11,10 @@
     exactly across runs, while a retry ([attempt + 1]) re-draws rather
     than hitting the same fault forever.
 
-    Specs come from the [QP_FAULTS] environment variable (parsed at load
-    time; a malformed spec aborts the process) or from [--inject] flags
-    via {!configure}. Grammar, site taxonomy and the degradation matrix
-    are documented in [docs/ROBUSTNESS.md].
+    Specs come from the [QP_FAULTS] environment variable ({!switch},
+    armed at load time; a malformed spec aborts the process) or from
+    [--inject] flags via {!configure}. Grammar, site taxonomy and the
+    degradation matrix are documented in [docs/ROBUSTNESS.md].
 
     While no spec is armed every check is a single atomic load — the
     same zero-cost-when-disabled contract as {!Qp_obs}. *)
@@ -47,6 +47,9 @@ val describe : spec -> string
 val parse : string -> (spec list, string) result
 (** Parse a comma-separated spec list
     ([SITE:KIND[:p=F][:nth=N][:seed=N], ...]). *)
+
+val switch : spec list Qp_switch.t
+(** [QP_FAULTS]: a {!parse} spec list, armed at load time. *)
 
 val configure : string -> (unit, string) result
 (** Parse and append to the armed registry (the [--inject] flag). *)

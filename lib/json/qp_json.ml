@@ -112,6 +112,19 @@ let parse_exn (s : string) : t =
     end
     else fail (Printf.sprintf "expected %s" word)
   in
+  (* The four hex digits after the "u" at [pos]; leaves [pos] on the
+     last of them. *)
+  let hex4 () =
+    if !pos + 4 >= n then fail "truncated \\u escape";
+    let hex = String.sub s (!pos + 1) 4 in
+    pos := !pos + 4;
+    let is_hex = function
+      | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+      | _ -> false
+    in
+    if String.for_all is_hex hex then int_of_string ("0x" ^ hex)
+    else fail "bad \\u escape"
+  in
   let parse_string () =
     expect '"';
     let b = Buffer.create 16 in
@@ -132,26 +145,23 @@ let parse_exn (s : string) : t =
           | 'b' -> Buffer.add_char b '\b'
           | 'f' -> Buffer.add_char b '\012'
           | 'u' ->
-              if !pos + 4 >= n then fail "truncated \\u escape";
-              let hex = String.sub s (!pos + 1) 4 in
+              (* A UTF-16 surrogate pair is one code point above U+FFFF
+                 (the printer itself only escapes control characters). *)
+              let code = hex4 () in
+              let lone () = fail "lone surrogate in \\u escape" in
               let code =
-                match int_of_string_opt ("0x" ^ hex) with
-                | Some c -> c
-                | None -> fail "bad \\u escape"
+                if code land 0xFC00 = 0xDC00 then lone ()
+                else if code land 0xFC00 <> 0xD800 then code
+                else if !pos + 2 < n && s.[!pos + 1] = '\\' && s.[!pos + 2] = 'u'
+                then begin
+                  pos := !pos + 2;
+                  let low = hex4 () in
+                  if low land 0xFC00 <> 0xDC00 then lone ();
+                  0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+                end
+                else lone ()
               in
-              (* Keep it simple: encode the code point as UTF-8 (the
-                 printer only escapes control characters). *)
-              if code < 0x80 then Buffer.add_char b (Char.chr code)
-              else if code < 0x800 then begin
-                Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-              end
-              else begin
-                Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-              end;
-              pos := !pos + 4
+              Buffer.add_utf_8_uchar b (Uchar.of_int code)
           | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
           advance ();
           go ()

@@ -9,7 +9,7 @@
    the LP scale wall for LPIP/CIP on larger supports.
 
    The previous dense tableau survives as a reference oracle: select
-   it with QP_LP_ENGINE=dense (or ?engine / set_default_engine), and
+   it with QP_LP_ENGINE=dense (or ?engine, or --lp-engine), and
    QP_LP_ENGINE=check runs both engines on every solve and counts
    disagreements (see cross_check_mismatches). Both engines share the
    same pivot rules (Dantzig pricing, Bland's-rule stall fallback,
@@ -42,40 +42,19 @@ and solution = {
 
 type engine = Dense | Revised | Check
 
-let engine_name = function
-  | Dense -> "dense"
-  | Revised -> "revised"
-  | Check -> "check"
+let engine_switch =
+  Qp_switch.declare "QP_LP_ENGINE"
+    (Choice
+       [ ([ "dense" ], Dense); ([ "revised"; "sparse" ], Revised);
+         ([ "check"; "cross-check" ], Check) ])
+    ~default:Revised
 
-let engine_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "dense" -> Some Dense
-  | "revised" | "sparse" -> Some Revised
-  | "check" | "cross-check" -> Some Check
-  | _ -> None
-
-(* Like QP_FAULTS: a malformed engine name aborts at load time, because
-   silently benchmarking the wrong engine is worse than exiting. *)
-let initial_engine =
-  match Sys.getenv_opt "QP_LP_ENGINE" with
-  | None | Some "" -> Revised
-  | Some s -> (
-      match engine_of_string s with
-      | Some e -> e
-      | None ->
-          Printf.eprintf
-            "QP_LP_ENGINE: unknown engine %S (known: dense, revised, check)\n%!"
-            s;
-          exit 2)
-
-let engine_ref = ref initial_engine
-let default_engine () = !engine_ref
-let set_default_engine e = engine_ref := e
+let default_engine () = Qp_switch.get engine_switch
 
 let with_engine e f =
-  let saved = !engine_ref in
-  engine_ref := e;
-  Fun.protect ~finally:(fun () -> engine_ref := saved) f
+  let saved = default_engine () in
+  Qp_switch.set engine_switch e;
+  Fun.protect ~finally:(fun () -> Qp_switch.set engine_switch saved) f
 
 (* Cross-check disagreements survive independently of tracing, so tests
    can assert zero without enabling Qp_obs. Atomic: Check-mode solves
@@ -84,28 +63,16 @@ let mismatches = Atomic.make 0
 let cross_check_mismatches () = Atomic.get mismatches
 let reset_cross_check_mismatches () = Atomic.set mismatches 0
 
-(* Warm starts can be disabled globally (QP_LP_WARMSTART=off or
-   set_warm_starts false): every resolve then runs the cold path, which
-   is how `bench warmstart` measures its baseline and how a suspected
-   warm-path bug can be ruled out in the field. Parsed like QP_LP_ENGINE:
-   a typo such as "of" aborts instead of silently meaning "on". *)
-let warm_ref =
-  ref
-    (match Sys.getenv_opt "QP_LP_WARMSTART" with
-    | None -> true
-    | Some s -> (
-        match String.lowercase_ascii (String.trim s) with
-        | "" | "on" | "1" | "true" | "yes" -> true
-        | "off" | "0" | "false" | "no" -> false
-        | _ ->
-            Printf.eprintf
-              "QP_LP_WARMSTART: unknown value %S (known: on, 1, true, yes, \
-               off, 0, false, no)\n%!"
-              s;
-            exit 2))
+(* With warm starts off every resolve runs the cold path: the baseline
+   of `bench warmstart`, and a way to rule out a warm-path bug. *)
+let warm_switch =
+  Qp_switch.declare "QP_LP_WARMSTART"
+    (Choice
+       [ ([ "on"; "1"; "true"; "yes" ], true);
+         ([ "off"; "0"; "false"; "no" ], false) ])
+    ~default:true
 
-let warm_starts () = !warm_ref
-let set_warm_starts b = warm_ref := b
+let warm_starts () = Qp_switch.get warm_switch
 
 (* --- shared pieces ---------------------------------------------------- *)
 
@@ -1327,7 +1294,7 @@ let check_rows ~nvars rows =
 
 let solve ?engine ?(max_pivots = 50_000)
     ?(stall_threshold = default_stall_threshold) ?refactor_every ~c ~rows () =
-  let engine = match engine with Some e -> e | None -> !engine_ref in
+  let engine = match engine with Some e -> e | None -> default_engine () in
   let nvars = Array.length c in
   let nrows = Array.length rows in
   Qp_obs.with_span "simplex.solve"
@@ -1335,7 +1302,7 @@ let solve ?engine ?(max_pivots = 50_000)
       [
         ("rows", Qp_obs.Int nrows);
         ("vars", Qp_obs.Int nvars);
-        ("engine", Qp_obs.Str (engine_name engine));
+        ("engine", Qp_obs.Str (Qp_switch.show engine_switch engine));
       ])
   @@ fun () ->
   check_rows ~nvars rows;
@@ -1412,7 +1379,7 @@ let prepare ?(max_pivots = 50_000) ~c ~rows () =
 let family_size fam = (Array.length fam.f_rows, fam.f_nvars)
 
 let resolve ?engine ?c ?rhs fam =
-  let engine = match engine with Some e -> e | None -> !engine_ref in
+  let engine = match engine with Some e -> e | None -> default_engine () in
   let nrows = Array.length fam.f_rows in
   (match c with
   | None -> ()
@@ -1424,7 +1391,7 @@ let resolve ?engine ?c ?rhs fam =
   | Some r ->
       assert (Array.length r = nrows);
       Array.iteri (fun i b -> fam.f_rows.(i) <- (fst fam.f_rows.(i), b)) r);
-  let warm_enabled = !warm_ref && engine <> Dense in
+  let warm_enabled = warm_starts () && engine <> Dense in
   (* Same span label as the one-shot path: report tooling aggregates by
      label, and a resolve is a solve — [warm_seed]/[warm_hit] args and
      the resolve counter tell the two apart. *)
@@ -1433,7 +1400,7 @@ let resolve ?engine ?c ?rhs fam =
       [
         ("rows", Qp_obs.Int nrows);
         ("vars", Qp_obs.Int fam.f_nvars);
-        ("engine", Qp_obs.Str (engine_name engine));
+        ("engine", Qp_obs.Str (Qp_switch.show engine_switch engine));
         ("warm_seed", Qp_obs.Bool (warm_enabled && fam.f_state <> None));
       ])
   @@ fun () ->

@@ -65,25 +65,19 @@ type engine =
           engine gives up ([Budget_exhausted]/[Numerical_error]) and
           solves under active {!Qp_fault} injection yield no verdict. *)
 
-val default_engine : unit -> engine
-(** The engine used when {!solve} gets no [?engine]. Initialized from
-    the [QP_LP_ENGINE] environment variable ([dense], [revised],
-    [check]; default [revised]); an unknown value aborts the process at
-    load time with exit code 2, mirroring [QP_FAULTS]. *)
+val engine_switch : engine Qp_switch.t
+(** [QP_LP_ENGINE] and its [--lp-engine] twin: [dense], [revised]
+    (alias [sparse]) or [check] (alias [cross-check]); default
+    [revised]. An unknown value aborts the process at load time with
+    exit code 2, like [QP_FAULTS]. *)
 
-val set_default_engine : engine -> unit
-(** Override the default engine for subsequent solves (the [--lp-engine]
-    CLI flag lands here). *)
+val default_engine : unit -> engine
+(** The engine used when {!solve} gets no [?engine]:
+    [Qp_switch.get engine_switch]. *)
 
 val with_engine : engine -> (unit -> 'a) -> 'a
 (** [with_engine e f] runs [f] with the default engine set to [e],
     restoring the previous default afterwards (also on exceptions). *)
-
-val engine_of_string : string -> engine option
-(** Parse an engine name as accepted by [QP_LP_ENGINE]/[--lp-engine]. *)
-
-val engine_name : engine -> string
-(** Canonical lowercase name, inverse of {!engine_of_string}. *)
 
 val cross_check_mismatches : unit -> int
 (** Number of {!Check}-mode disagreements observed since program start
@@ -227,14 +221,14 @@ val resolve : ?engine:engine -> ?c:float array -> ?rhs:float array -> family -> 
 val family_size : family -> int * int
 (** [(rows, vars)] of the shared matrix. *)
 
-val warm_starts : unit -> bool
-(** Whether {!resolve} may reuse saved bases. Initialized from
-    [QP_LP_WARMSTART], trimmed and case-insensitive: [on]/[1]/[true]/
-    [yes] enable, [off]/[0]/[false]/[no] disable, unset or empty means
-    the default (enabled). Any other value aborts the process at load
-    time with exit code 2, like [QP_LP_ENGINE]. *)
+val warm_switch : bool Qp_switch.t
+(** [QP_LP_WARMSTART]: [on]/[1]/[true]/[yes] enable warm starts,
+    [off]/[0]/[false]/[no] disable them; default enabled. Any other
+    value aborts the process at load time with exit code 2.
+    [Qp_switch.set warm_switch false] is the kill switch: every
+    {!resolve} runs the cold path — the baseline for [bench warmstart]
+    and a field diagnostic for suspected warm-path bugs. *)
 
-val set_warm_starts : bool -> unit
-(** Kill switch: [set_warm_starts false] makes every {!resolve} run the
-    cold path — the baseline for [bench warmstart] and a field
-    diagnostic for suspected warm-path bugs. *)
+val warm_starts : unit -> bool
+(** Whether {!resolve} may reuse saved bases:
+    [Qp_switch.get warm_switch]. *)

@@ -60,7 +60,7 @@ let hypergraph ?on_progress ?jobs ?engine db valued_queries deltas =
   let t0 = Qp_util.Timing.now_s () in
   (* Resolve the engine here, once: workers inherit it as an explicit
      argument instead of re-reading the process default in their own
-     domain, so a concurrent [set_default_engine] cannot split a build
+     domain, so a concurrent [--rel-engine] override cannot split a build
      across engines. *)
   let engine =
     match engine with Some e -> e | None -> Delta_eval.default_engine ()
@@ -136,7 +136,7 @@ let hypergraph ?on_progress ?jobs ?engine db valued_queries deltas =
         Option.value (Hashtbl.find_opt by_strategy "fallback") ~default:0;
       failed_queries;
       strategies;
-      engine = Delta_eval.engine_name engine;
+      engine = Qp_switch.show Delta_eval.engine_switch engine;
       check_mismatches;
       jobs = pool.Qp_util.Parallel.jobs;
       query_seconds;

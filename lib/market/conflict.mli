@@ -29,8 +29,8 @@ type stats = {
       (** query count per {!Qp_relational.Delta_eval.strategy_name},
           sorted by name — the delta-eval vs fallback split *)
   engine : string;
-      (** {!Qp_relational.Delta_eval.engine_name} of the engine the
-          build ran on ("row", "columnar" or "check") *)
+      (** the canonical name of the engine the build ran on ("row",
+          "columnar" or "check") *)
   check_mismatches : int;
       (** cross-engine disagreements observed during this build; always
           [0] outside check mode, and expected [0] within it *)

@@ -2,36 +2,12 @@
 
 type engine = Row | Columnar | Check
 
-let engine_name = function
-  | Row -> "row"
-  | Columnar -> "columnar"
-  | Check -> "check"
+let engine_switch =
+  Qp_switch.declare "QP_REL_ENGINE"
+    (Choice [ ([ "row" ], Row); ([ "columnar" ], Columnar); ([ "check" ], Check) ])
+    ~default:Columnar
 
-let engine_of_string s =
-  match String.lowercase_ascii s with
-  | "row" -> Some Row
-  | "columnar" -> Some Columnar
-  | "check" -> Some Check
-  | _ -> None
-
-(* Fail fast on an unknown QP_REL_ENGINE: a typo silently falling back
-   to the default would defeat the point of asking for a cross-check. *)
-let initial_engine =
-  match Sys.getenv_opt "QP_REL_ENGINE" with
-  | None -> Columnar
-  | Some s -> (
-      match engine_of_string s with
-      | Some e -> e
-      | None ->
-          Printf.eprintf
-            "QP_REL_ENGINE=%s is not a relational engine (expected row, \
-             columnar or check)\n"
-            s;
-          exit 2)
-
-let engine_ref = ref initial_engine
-let default_engine () = !engine_ref
-let set_default_engine e = engine_ref := e
+let default_engine () = Qp_switch.get engine_switch
 
 let mismatch_count = Atomic.make 0
 let check_mismatches () = Atomic.get mismatch_count

@@ -42,23 +42,16 @@
     columns the query never references — the row oracle does not, so
     check mode exercises that shortcut too.
 
-    The process-wide default comes from [QP_REL_ENGINE]
-    ([row]/[columnar]/[check]; unknown values exit with status 2) and
-    defaults to [Columnar]. *)
+    The process-wide default is {!engine_switch}. *)
 
 type engine = Row | Columnar | Check
 
-val engine_name : engine -> string
-(** ["row"], ["columnar"] or ["check"]. *)
-
-val engine_of_string : string -> engine option
-(** Inverse of {!engine_name} (case-insensitive); [None] if unknown. *)
+val engine_switch : engine Qp_switch.t
+(** [QP_REL_ENGINE] and its [--rel-engine] twin: [row], [columnar] or
+    [check]; default [columnar]. An unknown value exits with code 2. *)
 
 val default_engine : unit -> engine
-(** The process-wide default, initialized from [QP_REL_ENGINE]. *)
-
-val set_default_engine : engine -> unit
-(** Override the process-wide default (CLI flag support). *)
+(** The process-wide default: [Qp_switch.get engine_switch]. *)
 
 val check_mismatches : unit -> int
 (** Process-wide count of deltas on which the two engines disagreed

@@ -1,15 +1,8 @@
-let default_jobs () =
-  let from_env =
-    match Sys.getenv_opt "QP_JOBS" with
-    | None -> None
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> Some n
-        | Some _ | None -> None)
-  in
-  match from_env with
-  | Some n -> n
-  | None -> max 1 (Domain.recommended_domain_count () - 1)
+let jobs_switch =
+  Qp_switch.declare "QP_JOBS" Qp_switch.Positive_int
+    ~default:(max 1 (Domain.recommended_domain_count () - 1))
+
+let default_jobs () = Qp_switch.get jobs_switch
 
 (* Workers mark their domain so nested maps fall back to the sequential
    path instead of spawning a second generation of domains. *)

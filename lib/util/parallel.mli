@@ -9,7 +9,7 @@
     capacity, one draw per experiment run — go through this module.
 
     Pool sizing: [jobs] arguments override everything; otherwise the
-    [QP_JOBS] environment variable; otherwise
+    {!jobs_switch} ([--jobs], else [QP_JOBS]); otherwise
     [Domain.recommended_domain_count () - 1] (never below 1). With one
     job the sequential code path runs — no domain is spawned.
 
@@ -35,10 +35,14 @@
     {!Qp_fault} (key = task index) before running, on both the
     sequential and the pooled path. *)
 
+val jobs_switch : int Qp_switch.t
+(** [QP_JOBS] and its [--jobs] twin: a positive integer ([0] or [two]
+    exits 2), by default [Domain.recommended_domain_count () - 1], at
+    least 1. *)
+
 val default_jobs : unit -> int
-(** [QP_JOBS] when set to a positive integer, else
-    [Domain.recommended_domain_count () - 1], at least 1. Read on every
-    call, so [putenv] takes effect immediately. *)
+(** [Qp_switch.get jobs_switch], read on every call, so [putenv] takes
+    effect immediately. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map f xs] is [Array.map f xs] computed by the worker pool.

@@ -324,13 +324,17 @@ let compare_pair name check ~baseline_dir ~current_dir =
   | Error e, _ | _, Error e -> fail "%s: malformed JSON: %s" file e
   | exception Sys_error e -> fail "%s: %s" file e
 
+let gate =
+  Qp_switch.declare "QP_BENCH_GATE"
+    (Choice [ ([ "on" ], true); ([ "off" ], false) ])
+    ~default:true
+
 let () =
-  (match Sys.getenv_opt "QP_BENCH_GATE" with
-  | Some "off" ->
-      print_endline
-        "bench gate: skipped (QP_BENCH_GATE=off) — no metrics compared";
-      exit 0
-  | _ -> ());
+  if not (Qp_switch.get gate) then begin
+    print_endline
+      "bench gate: skipped (QP_BENCH_GATE=off) — no metrics compared";
+    exit 0
+  end;
   let baseline_dir, current_dir =
     match Array.to_list Sys.argv with
     | _ :: b :: c :: _ -> (b, c)

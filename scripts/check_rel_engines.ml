@@ -9,7 +9,7 @@ module WI = Qp_experiments.Workload_instances
 module DE = Qp_relational.Delta_eval
 
 let () =
-  DE.set_default_engine DE.Check;
+  Qp_switch.set DE.engine_switch DE.Check;
   let failures = ref 0 in
   List.iter
     (fun key ->

@@ -157,24 +157,28 @@ let test_limited_boundary () =
         (fun engine ->
           let prep = Delta_eval.prepare ~engine db query in
           Alcotest.(check bool)
-            (Printf.sprintf "%s (%s)" name (Delta_eval.engine_name engine))
+            (Printf.sprintf "%s (%s)" name
+               (Qp_switch.show Delta_eval.engine_switch engine))
             (reference query delta)
             (Delta_eval.differs prep delta))
         [ Delta_eval.Row; Delta_eval.Columnar; Delta_eval.Check ])
     cases
 
-let test_engine_of_string () =
-  Alcotest.(check string) "row" "row"
-    (Delta_eval.engine_name
-       (Option.get (Delta_eval.engine_of_string "Row")));
-  Alcotest.(check string) "columnar" "columnar"
-    (Delta_eval.engine_name
-       (Option.get (Delta_eval.engine_of_string "columnar")));
-  Alcotest.(check string) "check" "check"
-    (Delta_eval.engine_name
-       (Option.get (Delta_eval.engine_of_string "CHECK")));
+(* The QP_REL_ENGINE / --rel-engine choice table: names parse
+   case-insensitively, blank means columnar, and each engine shows as
+   the name that parses back to it. *)
+let test_engine_switch () =
+  let sw = Delta_eval.engine_switch in
+  List.iter
+    (fun (text, e) ->
+      Alcotest.(check bool) (Printf.sprintf "%S" text) true
+        (Qp_switch.parse sw text = Ok e);
+      Alcotest.(check bool) "shown name parses back" true
+        (Qp_switch.parse sw (Qp_switch.show sw e) = Ok e))
+    [ ("Row", Delta_eval.Row); ("columnar", Delta_eval.Columnar);
+      (" CHECK ", Delta_eval.Check); ("", Delta_eval.Columnar) ];
   Alcotest.(check bool) "unknown rejected" true
-    (Delta_eval.engine_of_string "vectorized" = None)
+    (Result.is_error (Qp_switch.parse sw "vectorized"))
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
@@ -186,5 +190,5 @@ let suite =
       t "workload hypergraphs engine-identical" test_workload_hypergraph_identity;
       t "skewed workload has no fallback" test_skewed_has_no_fallback;
       t "limited strategy boundary cases" test_limited_boundary;
-      t "engine_of_string" test_engine_of_string;
+      t "engine switch table" test_engine_switch;
     ] )

@@ -112,6 +112,27 @@ let test_to_file_layout () =
     "{\n  \"meta\": {\"a\":1},\n  \"rows\": [\n    {\"n\":1},\n    {\"n\":2}\n  ],\n  \"none\": []\n}\n"
     (In_channel.with_open_bin path In_channel.input_all)
 
+(* \u escapes: exactly four hex digits, and a surrogate pair is one
+   code point (4-byte UTF-8); a lone surrogate is an error. *)
+let test_unicode_escapes () =
+  List.iter
+    (fun (text, want) ->
+      Alcotest.(check (result string string)) text want
+        (Result.map
+           (function J.String s -> s | v -> J.to_string v)
+           (J.parse text)
+        |> Result.map_error (fun _ -> "error")))
+    [ ({|"\u0041\u00e9\u20AC"|}, Ok "A\195\169\226\130\172");
+      ({|"\ud83d\ude00"|}, Ok "\240\159\152\128");
+      ({|"\uD800\uDC00x"|}, Ok "\240\144\128\128x");
+      ({|"\ud83d"|}, Error "error");
+      ({|"\ud83dx"|}, Error "error");
+      ({|"\ud83d\u0041"|}, Error "error");
+      ({|"\ude00"|}, Error "error");
+      ({|"\u1_23"|}, Error "error");
+      ({|"\u+123"|}, Error "error");
+      ({|"\u12"|}, Error "error") ]
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "json",
@@ -119,6 +140,7 @@ let suite =
       t "non-finite numbers print as null" test_non_finite_prints_null;
       t "shortest round-tripping number format" test_number_format;
       t "to_file puts members and rows on lines" test_to_file_layout;
+      t "\\u escapes: four hex digits, surrogate pairs" test_unicode_escapes;
       QCheck_alcotest.to_alcotest prop_string_round_trip;
       QCheck_alcotest.to_alcotest prop_file_round_trip;
       QCheck_alcotest.to_alcotest prop_mutations_never_raise;

@@ -392,7 +392,8 @@ let suite =
       (fun e ->
         let te name f =
           t
-            (Printf.sprintf "%s [%s]" name (Simplex.engine_name e))
+            (Printf.sprintf "%s [%s]" name
+               (Qp_switch.show Simplex.engine_switch e))
             (fun () ->
               engine := e;
               f ())

@@ -225,7 +225,7 @@ let test_null_deltas () =
             (fun d ->
               Alcotest.(check bool)
                 (Printf.sprintf "%s/%s" q.Query.name
-                   (Delta_eval.engine_name engine))
+                   (Qp_switch.show Delta_eval.engine_switch engine))
                 (reference q d) (Delta_eval.differs prep d))
             deltas)
         [ Delta_eval.Row; Delta_eval.Columnar; Delta_eval.Check ])

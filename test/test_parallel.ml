@@ -69,9 +69,12 @@ let test_default_jobs_env () =
     (fun () ->
       Unix.putenv "QP_JOBS" "3";
       Alcotest.(check int) "QP_JOBS read" 3 (Parallel.default_jobs ());
-      Unix.putenv "QP_JOBS" "0";
-      Alcotest.(check bool) "nonsense clamped to >= 1" true
-        (Parallel.default_jobs () >= 1);
+      (* default_jobs would exit 2 on these, so ask the switch's parser *)
+      List.iter
+        (fun bad ->
+          Alcotest.(check bool) (Printf.sprintf "%S is a typed error" bad) true
+            (Result.is_error (Qp_switch.parse Parallel.jobs_switch bad)))
+        [ "0"; "two"; "-1" ];
       Unix.putenv "QP_JOBS" "";
       Alcotest.(check bool) "unset falls back to cores" true
         (Parallel.default_jobs () >= 1))

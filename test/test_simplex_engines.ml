@@ -407,9 +407,9 @@ let test_check_mode_warm_cip () =
   let rand = Random.State.make [| 4242 |] in
   Simplex.reset_cross_check_mismatches ();
   let was = Simplex.warm_starts () in
-  Simplex.set_warm_starts true;
+  Qp_switch.set Simplex.warm_switch true;
   Fun.protect
-    ~finally:(fun () -> Simplex.set_warm_starts was)
+    ~finally:(fun () -> Qp_switch.set Simplex.warm_switch was)
     (fun () ->
       for _ = 1 to 3 do
         let n = 4 + Random.State.int rand 4 in
@@ -497,12 +497,12 @@ let test_pivots_by_phase () =
          ([| -1.0; -1.0 |], -1.0) |]
   in
   let was = Simplex.warm_starts () in
-  Simplex.set_warm_starts true;
+  Qp_switch.set Simplex.warm_switch true;
   Qp_obs.set_enabled true;
   Qp_obs.reset ();
   Fun.protect
     ~finally:(fun () ->
-      Simplex.set_warm_starts was;
+      Qp_switch.set Simplex.warm_switch was;
       Qp_obs.set_enabled false;
       Qp_obs.reset ())
   @@ fun () ->

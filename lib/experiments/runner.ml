@@ -162,6 +162,7 @@ let run_cell ?(attempt = 0) ?jobs ?n_runs ~profile ~seed model instance =
           ~args:(fun () -> [ ("run", Qp_obs.Int run) ])
         @@ fun () ->
         let h =
+          Qp_obs.with_span "valuations.apply" @@ fun () ->
           Valuations.apply
             ~rng:(Rng.split rng (Printf.sprintf "val-%d" run))
             model instance.Workload_instances.hypergraph

@@ -25,10 +25,19 @@ type t = {
 type scale = Tiny | Default
 type support_strategy = Uniform_support | Query_aware
 
+(* Data generation and query expansion for one workload, as a span. *)
+let generate key f =
+  Qp_obs.with_span "workload.generate"
+    ~args:(fun () -> [ ("workload", Qp_obs.Str key) ])
+    f
+
 let assemble ?(strategy = Query_aware) ~key ~label ~db ~queries ~support ~seed () =
   let rng = Rng.create seed in
   let support_rng = Rng.split rng "support" in
   let deltas =
+    Qp_obs.with_span "support.generate"
+      ~args:(fun () -> [ ("support", Qp_obs.Int support) ])
+    @@ fun () ->
     match strategy with
     | Uniform_support -> Support.generate ~rng:support_rng db ~n:support
     | Query_aware ->
@@ -45,9 +54,12 @@ let skewed ?(scale = Default) ?strategy ?support ~seed () =
     | Default -> (World.default_config, 1500)
   in
   let support = Option.value support ~default:support_default in
-  let rng = Rng.create seed in
-  let db = World.generate ~rng:(Rng.split rng "world") ~config () in
-  let queries = World_queries.workload db in
+  let db, queries =
+    generate "skewed" @@ fun () ->
+    let rng = Rng.create seed in
+    let db = World.generate ~rng:(Rng.split rng "world") ~config () in
+    (db, World_queries.workload db)
+  in
   assemble ?strategy ~key:"skewed"
     ~label:(Printf.sprintf "%d queries, skewed workload" (List.length queries))
     ~db ~queries ~support ~seed ()
@@ -60,10 +72,11 @@ let uniform ?(scale = Default) ?strategy ?support ?m ~seed () =
   in
   let support = Option.value support ~default:support_default in
   let m = Option.value m ~default:m_default in
-  let rng = Rng.create seed in
-  let db = World.generate ~rng:(Rng.split rng "world") ~config () in
-  let queries =
-    Uniform_workload.workload ~rng:(Rng.split rng "uniform-queries") ~m db
+  let db, queries =
+    generate "uniform" @@ fun () ->
+    let rng = Rng.create seed in
+    let db = World.generate ~rng:(Rng.split rng "world") ~config () in
+    (db, Uniform_workload.workload ~rng:(Rng.split rng "uniform-queries") ~m db)
   in
   assemble ?strategy ~key:"uniform"
     ~label:(Printf.sprintf "%d queries, uniform workload" m)
@@ -76,9 +89,12 @@ let tpch ?(scale = Default) ?strategy ?support ~seed () =
     | Default -> (Tpch.default_config, 800)
   in
   let support = Option.value support ~default:support_default in
-  let rng = Rng.create seed in
-  let db = Tpch.generate ~rng:(Rng.split rng "tpch") ~config () in
-  let queries = Tpch_queries.workload () in
+  let db, queries =
+    generate "tpch" @@ fun () ->
+    let rng = Rng.create seed in
+    let db = Tpch.generate ~rng:(Rng.split rng "tpch") ~config () in
+    (db, Tpch_queries.workload ())
+  in
   assemble ?strategy ~key:"tpch"
     ~label:(Printf.sprintf "%d TPC-H queries" (List.length queries))
     ~db ~queries ~support ~seed ()
@@ -90,9 +106,12 @@ let ssb ?(scale = Default) ?strategy ?support ~seed () =
     | Default -> (Ssb.default_config, 1200)
   in
   let support = Option.value support ~default:support_default in
-  let rng = Rng.create seed in
-  let db = Ssb.generate ~rng:(Rng.split rng "ssb") ~config () in
-  let queries = Ssb_queries.workload () in
+  let db, queries =
+    generate "ssb" @@ fun () ->
+    let rng = Rng.create seed in
+    let db = Ssb.generate ~rng:(Rng.split rng "ssb") ~config () in
+    (db, Ssb_queries.workload ())
+  in
   assemble ?strategy ~key:"ssb"
     ~label:(Printf.sprintf "%d SSB queries" (List.length queries))
     ~db ~queries ~support ~seed ()

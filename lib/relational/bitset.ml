@@ -66,27 +66,35 @@ let complement_into t =
   done;
   if n > 0 then t.words.(n - 1) <- t.words.(n - 1) land tail_mask t.len
 
-let rec ntz_loop x acc = if x land 1 = 1 then acc else ntz_loop (x lsr 1) (acc + 1)
-
+(* Shift a copy of each nonzero word down to zero: one step per bit up
+   to the highest set bit, so a word costs at most [width] steps. The
+   word is read into a local before [f] runs, so [f] may clear bits of
+   [t] itself. [lsr] is logical, so bit 62 (the sign bit) needs no care. *)
 let iter f t =
   for wi = 0 to Array.length t.words - 1 do
     let w = ref t.words.(wi) in
-    let base = wi * width in
+    let i = ref (wi * width) in
     while !w <> 0 do
-      let b = ntz_loop !w 0 in
-      f (base + b);
-      w := !w land (!w - 1)
+      if !w land 1 = 1 then f !i;
+      w := !w lsr 1;
+      incr i
     done
   done
 
-let count t =
-  let c = ref 0 in
-  iter (fun _ -> incr c) t;
-  !c
+(* SWAR popcount on a 63-bit word. The literals are the usual 64-bit
+   masks, whose bit 63 an OCaml int drops; every byte sum fits in the
+   top byte's seven bits. *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
+  let m2 = 0x3333_3333_3333_3333 in
+  let x = (x land m2) + ((x lsr 2) land m2) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
+
+let count t = Array.fold_left (fun c w -> c + popcount w) 0 t.words
 
 let to_array t =
-  let n = count t in
-  let out = Array.make n 0 in
+  let out = Array.make (count t) 0 in
   let k = ref 0 in
   iter
     (fun i ->

@@ -43,10 +43,14 @@ val complement_into : t -> unit
     row engine's two-valued semantics. *)
 
 val count : t -> int
-(** Number of set bits. *)
+(** Number of set bits (a popcount per word). *)
 
 val iter : (int -> unit) -> t -> unit
-(** Apply to each set bit in increasing order, skipping zero words. *)
+(** Apply to each set bit in increasing order, skipping zero words.
+    Linear in the number of words plus set bits: a word costs at most
+    its 63 bit positions. Each word is read before the callback runs
+    on its bits, so the callback may clear bits of the same set. *)
 
 val to_array : t -> int array
-(** Set bits in increasing order (the selection vector). *)
+(** Set bits in increasing order (the selection vector); linear, like
+    {!iter}. *)

@@ -56,6 +56,10 @@ type t = {
       (* reusable one-binding env for the emptiness pre-checks; safe
          because star probes and per-level singles never read the other
          (stale) slots *)
+  pins : (int * (Value.t, bool) Hashtbl.t) option array;
+      (* star plans only: per level whose one equi is a bare level-0
+         column, that equi's key column and star_dim_pin's answers by
+         key value (see there) *)
 }
 
 (* --- vectorized predicate kernels ---------------------------------- *)
@@ -359,6 +363,15 @@ let prepare plan db =
              lv.equis)
          levels
   in
+  let pins =
+    Array.map
+      (fun lv ->
+        match lv.equis with
+        | [ (key_col, _, Some _) ] when star ->
+            Some (key_col, Hashtbl.create 64)
+        | _ -> None)
+      levels
+  in
   {
     plan;
     levels;
@@ -368,6 +381,7 @@ let prepare plan db =
     participating = None;
     masks = None;
     scratch = Array.make (Array.length levels) [||];
+    pins;
   }
 
 let plan t = t.plan
@@ -669,7 +683,7 @@ let participating t =
    (the mask bits). Candidates come from the reverse bucket of a
    bare-column equi; a level with only expression probes has no such
    bucket and stays conservative. *)
-let star_dim_pin t flvl tup =
+let star_dim_pin_uncached t flvl tup =
   let lv = t.levels.(flvl) in
   let masks = level_masks t in
   let n = Array.length t.levels in
@@ -709,6 +723,24 @@ let star_dim_pin t flvl tup =
                     end))
             bucket
       | _ -> true)
+
+(* [star_dim_pin_uncached], memoized. When the pinned level's one equi
+   is a bare level-0 column, the answer depends on the pinned tuple's
+   key alone (its reverse bucket and the fixed masks decide it), so it
+   is cached per level by key value, through the same Hashtbl hashing
+   and equality as the bucket lookup: the old and the new tuple of
+   every delta with that key share one bucket walk. *)
+let star_dim_pin t flvl tup =
+  match t.pins.(flvl) with
+  | None -> star_dim_pin_uncached t flvl tup
+  | Some (key_col, memo) -> (
+      let key = tup.(key_col) in
+      match Hashtbl.find_opt memo key with
+      | Some joins -> joins
+      | None ->
+          let joins = star_dim_pin_uncached t flvl tup in
+          Hashtbl.add memo key joins;
+          joins)
 
 (* Emptiness of [join_fixed (flvl, tup)] without running it: [false] is
    always exact; [true] means "maybe nonempty" and the caller falls

@@ -40,8 +40,11 @@ let registered_prefixes =
     "runner";
     "serve";
     "simplex";
+    "support";
     "ubp";
     "uip";
+    "valuations";
+    "workload";
     "xos";
   ]
 

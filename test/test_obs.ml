@@ -142,6 +142,23 @@ let test_cell_attributes_bound_and_revenue () =
   Alcotest.(check bool) "bound span carries its row counts" true
     (contains s "cover_rows")
 
+(* Setup is attributed too: a cell traced from the instance build on
+   shows data generation, support sampling and the valuation draw as
+   spans of their own, beside conflict.build. *)
+let test_cell_attributes_setup () =
+  with_tracing @@ fun () ->
+  let inst = WI.uniform ~scale:WI.Tiny ~support:40 ~seed:3 () in
+  ignore
+    (Runner.run_cell ~jobs:1 ~n_runs:1 ~profile:Runner.Quick ~seed:5
+       (V.Uniform_val 100.0) inst);
+  let s = Obs.structure () in
+  List.iter
+    (fun label ->
+      Alcotest.(check bool) (label ^ " span recorded") true
+        (contains s ("span " ^ label)))
+    [ "workload.generate"; "support.generate"; "conflict.build";
+      "valuations.apply" ]
+
 (* --- chrome export and report round trip ------------------------------ *)
 
 let test_report_round_trip () =
@@ -502,6 +519,8 @@ let suite =
         test_structure_bit_identical;
       t "cell trace attributes the bound and revenue evaluation"
         test_cell_attributes_bound_and_revenue;
+      t "cell trace attributes setup: generation, support, valuations"
+        test_cell_attributes_setup;
       t "trace file → report round trip" test_report_round_trip;
       t "spliced tasks keep their real durations on their own lanes"
         test_lanes_keep_real_durations;
